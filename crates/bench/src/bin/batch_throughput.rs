@@ -10,7 +10,9 @@
 //! `long_len > 0` appends a long-genome section: one `long_len` bp
 //! pair (2% divergence) scored and aligned through `Policy::Auto`
 //! (exclusive wavefront bin) — the workload the zero-copy gather was
-//! built for. JSON keys: `long.score_gcups` / `long.align_gcups`.
+//! built for. JSON keys: `long.score_gcups` / `long.align_gcups`, and
+//! `long.simd_tiles` / `long.scalar_tiles` (the wavefront tile
+//! counters of both runs: global passes run 16-lane tiles).
 //!
 //! `huge_len > 0` appends a chromosome-scale *sharded* section: one
 //! asymmetric pair (`huge_len/16` bp query × `huge_len` bp subject)
@@ -21,7 +23,9 @@
 //! (`wavefront.peak_shard_mb`) stays within the unsharded border
 //! budget. JSON keys: `huge.{score,align}_gcups`,
 //! `huge.score_gcups_unsharded`, `huge.peak_shard_mb`,
-//! `huge.budget_mb`, `huge.seam_bytes` and `sched.shards`.
+//! `huge.budget_mb`, `huge.seam_bytes`, `sched.shards` and
+//! `huge.simd_tiles` / `huge.scalar_tiles` (tile counters of the
+//! sharded score and align runs).
 //!
 //! `semi_len > 0` appends a semi-global bin: `semi_len` bp reads
 //! contained in 1.5× windows, scored and aligned through
@@ -77,8 +81,8 @@ use anyseq_bench::report::{dump_json, Table};
 use anyseq_bench::workloads::{amplicon_batch, contained_read_batch, read_batch};
 use anyseq_engine::stats::TRACEBACK_CELL_FACTOR;
 use anyseq_engine::{
-    BackendId, BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, GapSpec, KindSpec, Policy,
-    SchemeSpec, SimdLanes, SCHED_BYTES_COPIED,
+    BackendId, BatchCfg, BatchScheduler, BatchStats, Dispatch, DispatchPolicy, GapSpec, KindSpec,
+    Policy, SchemeSpec, SimdLanes, SCHED_BYTES_COPIED,
 };
 use anyseq_seq::genome::GenomeSim;
 use anyseq_seq::{BatchView, Seq};
@@ -267,6 +271,7 @@ fn main() {
             "long-genome gather copied sequence bytes"
         );
         assert_eq!(align_run.results[0].score, score_run.results[0]);
+        insert_tile_counters(&mut json, "long", &[&score_run.stats, &align_run.stats]);
     }
 
     // Optional chromosome-scale sharded bin: one asymmetric pair too
@@ -338,6 +343,7 @@ fn main() {
         );
 
         let mut aligned_score = 0i32;
+        let mut align_stats = None;
         let am = measure_gcups(cells * TRACEBACK_CELL_FACTOR, repeats, || {
             let run = scheduler.align_batch(&sharded, &spec, &huge_view);
             aligned_score = run.results[0].score;
@@ -345,7 +351,10 @@ fn main() {
                 aligned_score, base_scores[0],
                 "huge: sharded align score diverged from unsharded"
             );
+            align_stats = Some(run.stats);
         });
+        let align_stats = align_stats.expect("at least one repeat ran");
+        insert_tile_counters(&mut json, "huge", &[&stats, &align_stats]);
         println!(
             "score: unsharded {:.3} GCUPS, sharded {:.3} GCUPS ({shards} shards, \
              {seam_bytes} seam bytes); align sharded {:.3} GCUPS",
@@ -654,6 +663,22 @@ fn main() {
 /// scores bit-identical to scalar — and emit
 /// `<label>.{score,align}_gcups`, `<label>.score_gcups_scalar` and
 /// `<label>.score_speedup`.
+/// Records the wavefront tile counters of one bin's score and align
+/// runs as `<bin>.simd_tiles` / `<bin>.scalar_tiles` — which kernel
+/// the global passes actually ran (`scripts/check_bench_report.py`
+/// fails a bin whose passes never vectorized).
+fn insert_tile_counters(json: &mut BTreeMap<String, f64>, bin: &str, runs: &[&BatchStats]) {
+    for kernel in ["simd", "scalar"] {
+        let counter = format!("wavefront.{kernel}_tiles");
+        let total: u64 = runs
+            .iter()
+            .map(|stats| stats.counters.get(counter.as_str()).copied().unwrap_or(0))
+            .sum();
+        println!("{bin}: {counter} = {total}");
+        json.insert(format!("{bin}.{kernel}_tiles"), total as f64);
+    }
+}
+
 fn run_kind_bin(
     label: &str,
     spec: &SchemeSpec,

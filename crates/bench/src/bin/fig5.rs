@@ -7,7 +7,8 @@
 //!
 //! CPU rows are wall-clock measurements on this host; GPU/FPGA rows are
 //! the simulators' modeled GCUPS (marked `*`). Compare *shapes* (who
-//! wins, by what factor), not absolute values — see EXPERIMENTS.md.
+//! wins, by what factor), not absolute values: CPU rows depend on the
+//! host, simulator rows on the modeled device.
 //!
 //! Usage:
 //!   fig5 --part a [--scale F] [--gpu-scale F] [--threads N] [--repeats N]
@@ -182,11 +183,10 @@ fn part_a(cfg: &Cfg) {
         }
 
         // ---- AnySeq -----------------------------------------------------
+        // Scalar passes tile at 512; the SIMD columns fill vector lanes
+        // with independent ready tiles of their own fixed lane tile
+        // (`anyseq_simd::LANE_TILE`).
         let pcfg = ParallelCfg::threads(cfg.threads).with_tile(512);
-        // The SIMD engines fill vector lanes with independent ready
-        // tiles; smaller tiles keep the wavefront wide enough to form
-        // full lane groups even on scaled-down inputs.
-        let simd_cfg = ParallelCfg::threads(cfg.threads).with_tile(128);
         let anyseq_cpu = cpu_gcups!(
             |q: &Seq, s: &Seq| {
                 match out {
@@ -265,13 +265,13 @@ fn part_a(cfg: &Cfg) {
                                         q.codes(),
                                         s.codes(),
                                         lin.gap().open(),
-                                        &simd_cfg,
+                                        &pcfg,
                                     )
                                     .score,
                                 );
                             }
                             Output::Traceback => {
-                                let pass = SimdPass::<$l> { cfg: simd_cfg };
+                                let pass = SimdPass::<$l>::new(pcfg);
                                 std::hint::black_box(
                                     align_with_pass::<Global, _, _, _>(
                                         &pass,
@@ -296,13 +296,13 @@ fn part_a(cfg: &Cfg) {
                                         q.codes(),
                                         s.codes(),
                                         aff.gap().open(),
-                                        &simd_cfg,
+                                        &pcfg,
                                     )
                                     .score,
                                 );
                             }
                             Output::Traceback => {
-                                let pass = SimdPass::<$l> { cfg: simd_cfg };
+                                let pass = SimdPass::<$l>::new(pcfg);
                                 std::hint::black_box(
                                     align_with_pass::<Global, _, _, _>(
                                         &pass,

@@ -55,9 +55,12 @@ fn main() {
     };
 
     let core = count_loc(&root.join("crates/core/src"));
+    // `shard.rs` holds the one tiled slab pass that the scalar and the
+    // SIMD tile kernels both plug into.
     let wavefront_shared = file_loc("crates/wavefront/src/grid.rs")
         + file_loc("crates/wavefront/src/borders.rs")
-        + file_loc("crates/wavefront/src/scheduler.rs");
+        + file_loc("crates/wavefront/src/scheduler.rs")
+        + file_loc("crates/wavefront/src/shard.rs");
     let cpu_scalar = file_loc("crates/wavefront/src/pass.rs")
         + file_loc("crates/wavefront/src/aligner.rs")
         + file_loc("crates/wavefront/src/lib.rs");
@@ -72,21 +75,21 @@ fn main() {
     );
     let pct = |x: usize| 100.0 * x as f64 / total as f64;
     println!(
-        "  shared (core + grid/borders/scheduler): {shared_total:>6} ({:.0}%)",
+        "  shared (core + grid/borders/scheduler/shard): {shared_total:>6} ({:.0}%)",
         pct(shared_total)
     );
     println!(
-        "  CPU scalar (tiled pass + aligner):      {cpu_scalar:>6} ({:.0}%)",
+        "  CPU scalar (tiled pass + aligner):            {cpu_scalar:>6} ({:.0}%)",
         pct(cpu_scalar)
     );
     println!(
-        "  CPU SIMD:                               {simd:>6} ({:.0}%)",
+        "  CPU SIMD:                                     {simd:>6} ({:.0}%)",
         pct(simd)
     );
     println!(
-        "  GPU:                                    {gpu:>6} ({:.0}%)",
+        "  GPU:                                          {gpu:>6} ({:.0}%)",
         pct(gpu)
     );
-    println!("  total:                                  {total:>6}");
+    println!("  total:                                        {total:>6}");
     println!("\n(paper: 52% shared / 11% CPU-scalar / 14% SIMD / 23% GPU)");
 }

@@ -1,5 +1,6 @@
 //! Plain-text table rendering for the figure/table binaries, plus JSON
-//! dumps consumed when updating `EXPERIMENTS.md`.
+//! dumps of each run's figures under `target/bench-results/` (the
+//! input of `scripts/check_bench_report.py`).
 
 use std::collections::BTreeMap;
 

@@ -18,16 +18,15 @@ use crate::engine::{
 use crate::spec::{GapSpec, SchemeSpec};
 use crate::util::parallel_map;
 use crate::{with_global_scheme, with_scheme, with_simd_scheme};
+use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
 use anyseq_core::Alignment;
 use anyseq_gpu_sim::{Device, GpuAligner, KernelShape};
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
-use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, TraceStats};
-use anyseq_wavefront::{
-    borders::BorderStore, finalize_score, slab_score_pass, ParallelCfg, ParallelExt, TileGrid,
-};
+use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, SimdPass, TraceStats};
+use anyseq_wavefront::{borders::BorderStore, finalize_score, ParallelCfg, TileGrid};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pairs handed to one pool chunk when an adapter parallelizes
@@ -308,21 +307,35 @@ impl Engine for SimdEngine {
 
 // ------------------------------------------------------------- wavefront
 
+/// Lanes of the wavefront engine's global passes: the [`SimdLanes`]
+/// default (AVX2 width).
+const WAVEFRONT_LANES: usize = 16;
+
 /// Tiled wavefront backend: parallelism *inside* each pair (dynamic
 /// tile queue), pairs processed one after another. The right shape for
 /// batches of few, huge pairs — the scheduler runs it exclusively with
 /// the whole thread budget instead of sharding it into the pool.
 ///
+/// Every pass runs through [`SimdPass`]`<16>`: global score passes —
+/// unsharded scores, each shard slab, every Hirschberg half-pass of an
+/// alignment — relax [`anyseq_simd::LANE_TILE`]-sized tiles 16 at a
+/// time in vector lanes (scalar tiles for a single ready tile, for
+/// edge tiles, and for schemes whose i16 budget rules lanes out); the
+/// other kinds run scalar tiles of [`WavefrontEngine::tile`].
+///
 /// Telemetry: `wavefront.pairs` (pairs executed),
 /// `wavefront.border_bytes` (boundary-stripe bytes the tiled passes
 /// kept resident, summed over pairs — the O(n + m) working set that
-/// replaces an O(n·m) matrix), and `wavefront.peak_shard_mb` (high
+/// replaces an O(n·m) matrix), `wavefront.peak_shard_mb` (high
 /// water mark of the resident border + seam working set of sharded
-/// executions, in MiB — the number the shard budget bounds). Drained
-/// by the scheduler after each unit like the SIMD band counters.
+/// executions, in MiB — the number the shard budget bounds), and
+/// `wavefront.simd_tiles` / `wavefront.scalar_tiles` (tiles relaxed in
+/// vector lanes / by the scalar tile kernel). Drained by the scheduler
+/// after each unit like the SIMD band counters.
 #[derive(Debug)]
 pub struct WavefrontEngine {
-    /// Tile edge for the DP grid.
+    /// Edge of the scalar tiles (non-global kinds, and global schemes
+    /// too large for i16 lanes); global passes run lane tiles.
     pub tile: usize,
     /// Shard budget in DP cells: pairs larger than this run their
     /// tiled passes (including every Hirschberg half-pass of an
@@ -335,6 +348,8 @@ pub struct WavefrontEngine {
     pairs: AtomicU64,
     border_bytes: AtomicU64,
     peak_shard_bytes: AtomicU64,
+    simd_tiles: AtomicU64,
+    scalar_tiles: AtomicU64,
 }
 
 impl Default for WavefrontEngine {
@@ -346,6 +361,8 @@ impl Default for WavefrontEngine {
             pairs: AtomicU64::new(0),
             border_bytes: AtomicU64::new(0),
             peak_shard_bytes: AtomicU64::new(0),
+            simd_tiles: AtomicU64::new(0),
+            scalar_tiles: AtomicU64::new(0),
         }
     }
 }
@@ -403,28 +420,39 @@ impl WavefrontEngine {
         Err(EngineError::unit_too_large("wavefront", cells, max))
     }
 
-    /// Accounts one executed pair's boundary working set.
-    fn record_pair(&self, q: usize, s: usize, affine: bool) {
+    /// Accounts one executed pair's boundary working set on tiles of
+    /// edge `tile` (the edge the pair's passes actually ran on).
+    fn record_pair(&self, q: usize, s: usize, tile: usize, affine: bool) {
         self.pairs.fetch_add(1, Ordering::Relaxed);
         if q > 0 && s > 0 {
             let sharded = self.shard_cells > 0 && q as u64 * s as u64 > self.shard_cells && s > 1;
-            let (grid_s, seam) = if sharded {
-                // Resident at any instant: one slab's borders plus the
-                // incoming and outgoing seam frontiers (H + F rows).
-                (
-                    self.slab_width(q, s),
-                    2 * 2 * q * std::mem::size_of::<Score>(),
-                )
-            } else {
-                (s, 0)
-            };
-            let grid = TileGrid::new(q, grid_s, self.tile);
-            let bytes = (BorderStore::estimated_bytes(&grid, affine) + seam) as u64;
-            self.border_bytes.fetch_add(bytes, Ordering::Relaxed);
-            if sharded {
-                self.peak_shard_bytes.fetch_max(bytes, Ordering::Relaxed);
-            }
+            let grid_s = if sharded { self.slab_width(q, s) } else { s };
+            self.record_borders(q, grid_s, tile, affine, sharded);
         }
+    }
+
+    /// Accounts the resident border working set of one `q × width`
+    /// grid; a slab of a sharded pass also holds its incoming and
+    /// outgoing seam frontiers (H + F rows) and feeds the peak.
+    fn record_borders(&self, q: usize, width: usize, tile: usize, affine: bool, slab: bool) {
+        let grid = TileGrid::new(q, width, tile);
+        let seam = if slab {
+            2 * 2 * q * std::mem::size_of::<Score>()
+        } else {
+            0
+        };
+        let bytes = (BorderStore::estimated_bytes(&grid, affine) + seam) as u64;
+        self.border_bytes.fetch_add(bytes, Ordering::Relaxed);
+        if slab {
+            self.peak_shard_bytes.fetch_max(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Folds a finished provider's tile counts into the counters.
+    fn record_tiles(&self, pass: &SimdPass<WAVEFRONT_LANES>) {
+        let tiles = pass.tiles();
+        self.simd_tiles.fetch_add(tiles.simd, Ordering::Relaxed);
+        self.scalar_tiles.fetch_add(tiles.scalar, Ordering::Relaxed);
     }
 }
 
@@ -450,19 +478,23 @@ impl Engine for WavefrontEngine {
         for p in pairs {
             self.check_unit(p.q.len(), p.s.len())?;
         }
-        let cfg = self.cfg(threads);
+        let pass = SimdPass::<WAVEFRONT_LANES>::new(self.cfg(threads));
         let affine = matches!(spec.gap, GapSpec::Affine { .. });
-        Ok(with_scheme!(spec, |scheme, _K| {
+        let scores = with_scheme!(spec, |scheme, K| {
+            let (gap, subst) = (scheme.gap(), scheme.subst());
+            let tile = pass.tile::<K, _, _>(gap, subst);
             pairs
                 .iter()
                 .map(|p| {
-                    self.record_pair(p.q.len(), p.s.len(), affine);
+                    self.record_pair(p.q.len(), p.s.len(), tile, affine);
                     anyseq_obs::span(Stage::Kernel, || {
-                        scheme.score_parallel_codes(p.q, p.s, &cfg)
+                        pass.pass::<K>(gap, subst, p.q, p.s, gap.open()).score
                     })
                 })
                 .collect()
-        }))
+        });
+        self.record_tiles(&pass);
+        Ok(scores)
     }
 
     fn align_batch(
@@ -474,19 +506,30 @@ impl Engine for WavefrontEngine {
         for p in pairs {
             self.check_unit(p.q.len(), p.s.len())?;
         }
-        let cfg = self.cfg(threads);
+        let pass = SimdPass::<WAVEFRONT_LANES>::new(self.cfg(threads));
         let affine = matches!(spec.gap, GapSpec::Affine { .. });
-        Ok(with_scheme!(spec, |scheme, _K| {
+        let alignments = with_scheme!(spec, |scheme, K| {
+            let (gap, subst) = (scheme.gap(), scheme.subst());
+            let tile = pass.tile::<K, _, _>(gap, subst);
             pairs
                 .iter()
                 .map(|p| {
-                    self.record_pair(p.q.len(), p.s.len(), affine);
+                    self.record_pair(p.q.len(), p.s.len(), tile, affine);
                     anyseq_obs::span(Stage::Traceback, || {
-                        scheme.align_parallel_codes(p.q, p.s, &cfg)
+                        align_with_pass::<K, _, _, _>(
+                            &pass,
+                            gap,
+                            subst,
+                            p.q,
+                            p.s,
+                            &AlignConfig::default(),
+                        )
                     })
                 })
                 .collect()
-        }))
+        });
+        self.record_tiles(&pass);
+        Ok(alignments)
     }
 
     fn score_shard(
@@ -509,39 +552,29 @@ impl Engine for WavefrontEngine {
             }
         }
         // One slab is the unit here; never re-shard inside it.
-        let cfg = ParallelCfg::threads(threads.max(1)).with_tile(self.tile);
+        let pass = SimdPass::<WAVEFRONT_LANES>::new(
+            ParallelCfg::threads(threads.max(1)).with_tile(self.tile),
+        );
         let affine = matches!(spec.gap, GapSpec::Affine { .. });
-        // Peak accounting: the slab's borders plus both seam frontiers.
-        let grid = TileGrid::new(n, c1 - c0, self.tile);
-        let seam_bytes = 2 * 2 * n * std::mem::size_of::<Score>();
-        let bytes = (BorderStore::estimated_bytes(&grid, affine) + seam_bytes) as u64;
-        self.border_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.peak_shard_bytes.fetch_max(bytes, Ordering::Relaxed);
         if task.last {
             self.pairs.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(with_scheme!(spec, |scheme, K| {
+        let outcome = with_scheme!(spec, |scheme, K| {
+            let (gap, subst) = (scheme.gap(), scheme.subst());
+            let tile = pass.tile::<K, _, _>(gap, subst);
+            self.record_borders(n, c1 - c0, tile, affine, true);
             let slab = anyseq_obs::span(Stage::Kernel, || {
-                slab_score_pass::<K, _, _>(
-                    scheme.gap(),
-                    scheme.subst(),
-                    task.q,
-                    task.s,
-                    task.cols,
-                    scheme.gap().open(),
-                    task.seam,
-                    &cfg,
-                )
+                pass.slab::<K, _, _>(gap, subst, task.q, task.s, task.cols, gap.open(), task.seam)
             });
             let mut best = task.best;
             best.merge(&slab.best);
             let score = task.last.then(|| {
                 finalize_score::<K, _>(
-                    scheme.gap(),
+                    gap,
                     best,
                     n,
                     task.s.len(),
-                    scheme.gap().open(),
+                    gap.open(),
                     *slab.last_h.last().expect("slab last row is never empty"),
                 )
                 .0
@@ -551,13 +584,17 @@ impl Engine for WavefrontEngine {
                 best,
                 score,
             }
-        }))
+        });
+        self.record_tiles(&pass);
+        Ok(outcome)
     }
 
     fn drain_counters(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<(&'static str, u64)> = [
             ("wavefront.pairs", &self.pairs),
             ("wavefront.border_bytes", &self.border_bytes),
+            ("wavefront.simd_tiles", &self.simd_tiles),
+            ("wavefront.scalar_tiles", &self.scalar_tiles),
         ]
         .into_iter()
         .filter_map(|(name, cell)| {
@@ -766,6 +803,55 @@ mod tests {
             "border bytes: {counters:?}"
         );
         assert!(engine.drain_counters().is_empty(), "drain resets");
+    }
+
+    #[test]
+    fn wavefront_counts_tiles_by_kernel() {
+        let counter = |counters: &[(&str, u64)], name: &str| {
+            counters
+                .iter()
+                .find(|&&(n, _)| n == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        let mut sim = anyseq_seq::genome::GenomeSim::new(3);
+        let a = sim.generate(700);
+        let pairs = vec![(a.clone(), sim.mutate(&a, 0.05))];
+        let view = BatchView::from_pairs(&pairs);
+        let (n, m) = (pairs[0].0.len(), pairs[0].1.len());
+
+        // Global passes run lane tiles, and the border accounting uses
+        // the lane tile, not the engine's scalar tile.
+        let spec = SchemeSpec::global_affine(2, -1, -2, -1);
+        let engine = WavefrontEngine::default();
+        let got = engine.score_batch(&spec, view.refs(), 2).unwrap();
+        assert_eq!(got[0], spec.score_scalar(&pairs[0].0, &pairs[0].1));
+        let counters = engine.drain_counters();
+        assert!(
+            counter(&counters, "wavefront.simd_tiles") > 0,
+            "{counters:?}"
+        );
+        let grid = TileGrid::new(n, m, anyseq_simd::LANE_TILE);
+        assert_eq!(
+            counter(&counters, "wavefront.border_bytes"),
+            BorderStore::estimated_bytes(&grid, true) as u64
+        );
+
+        // A scheme past the i16 budget runs scalar tiles (sharded, so
+        // the pair is tiled at all) and stays exact.
+        let spec = SchemeSpec::global_linear(2000, -2000, -2000);
+        let engine = WavefrontEngine::default().with_shard_cells((n * m / 3) as u64);
+        let got = engine.score_batch(&spec, view.refs(), 2).unwrap();
+        assert_eq!(got[0], spec.score_scalar(&pairs[0].0, &pairs[0].1));
+        let counters = engine.drain_counters();
+        assert_eq!(
+            counter(&counters, "wavefront.simd_tiles"),
+            0,
+            "{counters:?}"
+        );
+        assert!(
+            counter(&counters, "wavefront.scalar_tiles") > 0,
+            "{counters:?}"
+        );
     }
 
     #[test]

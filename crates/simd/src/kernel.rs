@@ -108,73 +108,6 @@ pub struct BlockBorders<const L: usize> {
     pub left_f: Vec<I16s<L>>,
 }
 
-/// Relaxes a block of `L` independent `h × w` tiles (global/corner kinds:
-/// no per-cell optimum tracking — the score lives on the borders).
-///
-/// * `q_rows[r]` — the `L` query codes of tile-local row `r` (one per lane),
-/// * `s_cols[c]` — the `L` subject codes of tile-local column `c`.
-#[allow(clippy::needless_range_loop)]
-pub fn block_kernel<G, SS, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    q_rows: &[[u8; L]],
-    s_cols: &[[u8; L]],
-    borders: &mut BlockBorders<L>,
-) where
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let h = q_rows.len();
-    let w = s_cols.len();
-    assert!(h > 0 && w > 0);
-    assert_eq!(borders.top_h.len(), w + 1);
-    assert_eq!(borders.left_h.len(), h);
-    if G::AFFINE {
-        assert_eq!(borders.top_e.len(), w);
-        assert_eq!(borders.left_f.len(), h);
-    }
-
-    let ext = gap.extend() as i16;
-    let openext = (gap.open() + gap.extend()) as i16;
-
-    for r in 0..h {
-        let qc = &q_rows[r];
-        let mut diag = borders.top_h[0];
-        borders.top_h[0] = borders.left_h[r];
-        let mut left = borders.top_h[0];
-        let mut f = if G::AFFINE {
-            borders.left_f[r]
-        } else {
-            I16s::splat(SENT16)
-        };
-        for c in 0..w {
-            let up = borders.top_h[c + 1];
-            let e = if G::AFFINE {
-                borders.top_e[c].sat_adds(ext).max(up.sat_adds(openext))
-            } else {
-                up.sat_adds(ext)
-            };
-            f = if G::AFFINE {
-                f.sat_adds(ext).max(left.sat_adds(openext))
-            } else {
-                left.sat_adds(ext)
-            };
-            let sub = subst.lanes_score(qc, &s_cols[c]);
-            let hval = diag.sat_add(sub).max(e).max(f);
-            diag = up;
-            borders.top_h[c + 1] = hval;
-            if G::AFFINE {
-                borders.top_e[c] = e;
-            }
-            left = hval;
-        }
-        borders.left_h[r] = borders.top_h[w];
-        if G::AFFINE {
-            borders.left_f[r] = f;
-        }
-    }
-}
-
 /// Per-lane optimum produced by [`block_kernel_kind`].
 pub struct KernelOpt<const L: usize> {
     /// Best score per lane over the kind's optimum region, in the same
@@ -185,14 +118,20 @@ pub struct KernelOpt<const L: usize> {
     pub retired: u32,
 }
 
-/// Kind-generic variant of [`block_kernel`]: relaxes the same block of
-/// `L` independent `h × w` tiles but derives the per-cell dataflow from
-/// `K`'s contract. `NU_ZERO` clamps every cell at 0 (local alignment),
-/// and the per-lane optimum is tracked over `K::OPT`'s region — `Corner`:
-/// the bottom-right cell; `Border`: last row + last column + the
+/// Relaxes a block of `L` independent `h × w` tiles, one per lane, in
+/// place on `borders`, deriving the per-cell dataflow from `K`'s
+/// contract:
+///
+/// * `q_rows[r]` — the `L` query codes of tile-local row `r` (one per lane),
+/// * `s_cols[c]` — the `L` subject codes of tile-local column `c`.
+///
+/// `NU_ZERO` clamps every cell at 0 (local alignment), and the per-lane
+/// optimum is tracked over `K::OPT`'s region — `Corner`: the
+/// bottom-right cell; `Border`: last row + last column + the
 /// initialization seeds `H(0,w)`/`H(h,0)`; `Anywhere`: every cell plus
 /// the empty-alignment score 0. For `Corner` kinds every extra
-/// accumulator folds out and the codegen matches [`block_kernel`].
+/// accumulator folds out (the tiled wavefront pass reads a global score
+/// off the borders and ignores the returned optimum).
 ///
 /// With `XDROP = true` (non-`Corner` kinds only) a lane is *retired* once
 /// the maximum of its current row drops more than `xdrop` below the
@@ -322,7 +261,7 @@ where
     KernelOpt { best, retired }
 }
 
-/// Masked-dataflow variant of [`block_kernel`] used by the SeqAn-like
+/// Masked-dataflow variant of [`block_kernel_kind`] used by the SeqAn-like
 /// baseline: intrinsics-level SIMD code "requires to emulate control flow
 /// constructs such as if, while, or break with masked data flow — a
 /// time-consuming and error-prone process" (paper §V). This kernel
@@ -438,7 +377,14 @@ mod tests {
         };
         let q_rows: Vec<[u8; L]> = (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect();
         let s_cols: Vec<[u8; L]> = (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect();
-        block_kernel(&gap, &subst, &q_rows, &s_cols, &mut borders);
+        block_kernel_kind::<Global, G, _, false, L>(
+            &gap,
+            &subst,
+            &q_rows,
+            &s_cols,
+            &mut borders,
+            0,
+        );
 
         for l in 0..L {
             let mut out = TileOut::new();

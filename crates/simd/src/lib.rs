@@ -5,9 +5,11 @@
 //! under `-C target-cpu=native` (L = 16 ⇒ AVX2, L = 32 ⇒ AVX512, 16-bit
 //! lanes). Two execution shapes:
 //!
-//! * [`simd_tiled_score_pass`] — long-genome intra-sequence: vector lanes
-//!   are filled with independent tiles popped from the dynamic wavefront
-//!   queue (paper Fig. 3), scalar fallback when fewer than `L` are ready,
+//! * [`simd_tiled_score_pass`] / [`SimdPass`] — long-genome
+//!   intra-sequence: vector lanes are filled with independent tiles
+//!   popped from the dynamic wavefront queue (paper Fig. 3), scalar
+//!   fallback for a single ready tile and for edge tiles; the wavefront
+//!   engine's global passes run here,
 //! * [`score_batch_simd`] — short-read inter-sequence: one whole
 //!   alignment per lane, bucketed by matrix dimensions,
 //! * [`align_batch_simd`] — inter-sequence with full tracebacks: a
@@ -29,13 +31,10 @@ pub mod traceback;
 pub use batch::{score_batch_simd, score_batch_simd_stats, score_batch_simd_xdrop, LaneGroups};
 pub use kernel::{block_kernel_kind, max_block_extent, BlockBorders, KernelOpt, SimdSubst, SENT16};
 pub use lanes::I16s;
-pub use tiled::{simd_tiled_score_pass, SimdPass};
+pub use tiled::{
+    lane_tile, simd_slab_score_pass, simd_tiled_score_pass, SimdPass, LANE_TILE, MIN_LANE_TILE,
+};
 pub use traceback::{align_batch_simd, BandCfg, TraceStats};
-
-// Internal aliases for the stripe buffers shared with the wavefront
-// border store.
-pub(crate) use anyseq_wavefront::borders::HStripe as HStripeBuf;
-pub(crate) use anyseq_wavefront::borders::VStripe as VStripeBuf;
 
 /// Lane count matching AVX2 (256-bit registers of 16-bit scores).
 pub const LANES_AVX2: usize = 16;

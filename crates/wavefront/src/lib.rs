@@ -35,4 +35,7 @@ pub use aligner::{score_batch_parallel, ParallelExt, TiledPass};
 pub use grid::{TileGrid, TileId};
 pub use pass::{finalize_score, tiled_score_pass, ParallelCfg};
 pub use scheduler::{run_dynamic, run_static};
-pub use shard::{plan_columns, sharded_score_pass, slab_score_pass, ShardSeam, SlabOutput};
+pub use shard::{
+    chained_pass, plan_columns, slab_pass, slab_score_pass, ShardSeam, Slab, SlabOutput,
+    TileCounts, TileScratch,
+};

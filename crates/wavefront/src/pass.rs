@@ -2,33 +2,39 @@
 //! (§IV-A) of the linear-space score computation, built from the core
 //! tile kernel plus the dynamic wavefront scheduler.
 
-use crate::borders::BorderStore;
-use crate::grid::{TileGrid, TileId};
-use crate::scheduler::{run_dynamic, run_static};
+use crate::shard::{chained_pass, slab_score_pass};
 use anyseq_core::kind::{AlignKind, OptRegion};
 use anyseq_core::pass::{score_pass, PassOutput};
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
-use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
+
+/// Smallest matrix (in cells) a lane-tiled pass tiles by default; see
+/// [`ParallelCfg::runs_untiled`]. Most Hirschberg half-passes are far
+/// below the scalar threshold: on the genome_pair benchmark input, lane
+/// alignments ran at 1.5, 1.4, 1.0 and 0.6 GCUPS with this floor at
+/// 2^16, 2^18, 2^20 and 2^22 cells.
+pub const LANE_MIN_AREA: usize = 1 << 16;
 
 /// Parallel execution configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelCfg {
     /// Worker threads.
     pub threads: usize,
-    /// Square tile edge length.
+    /// Square edge of the scalar tiles. Lane-tiled global passes
+    /// (`anyseq_simd::SimdPass`) use their own fixed lane tile instead.
     pub tile: usize,
-    /// Matrices smaller than this many cells run single-threaded (the
-    /// scheduling overhead would dominate).
+    /// Matrices smaller than this many cells run untiled and
+    /// single-threaded (the scheduling overhead would dominate); see
+    /// [`ParallelCfg::runs_untiled`] for the lower lane-tile floor.
     pub min_parallel_area: usize,
     /// Use the static barrier-per-diagonal schedule instead of the
     /// dynamic queue (Fig. 6 comparison; dynamic is the default).
     pub static_schedule: bool,
     /// Shard budget in DP cells: pairs larger than this run as a serial
     /// chain of subject slabs with seam hand-off
-    /// ([`crate::sharded_score_pass`]), bounding peak resident border +
-    /// grid memory to one slab. 0 (the default) disables sharding.
+    /// ([`crate::chained_pass`]), bounding peak resident border + grid
+    /// memory to one slab. 0 (the default) disables sharding.
     pub shard_cells: u64,
 }
 
@@ -71,20 +77,38 @@ impl ParallelCfg {
         self.shard_cells = cells;
         self
     }
+
+    /// Whether a pass over an `n × m` matrix runs as a chain of subject
+    /// slabs. Sharding applies regardless of thread count — the memory
+    /// bound matters even single-threaded — and, because every
+    /// Hirschberg half-pass runs through a tiled pass, alignments
+    /// shard too.
+    pub fn shards(&self, (n, m): (usize, usize)) -> bool {
+        self.shard_cells > 0 && n > 0 && m > 1 && (n as u64) * (m as u64) > self.shard_cells
+    }
+
+    /// Whether an unsharded pass over an `n × m` matrix skips tiling
+    /// for the plain scalar [`score_pass`]. Scalar tiles
+    /// (`vectorized == false`) skip it below `min_parallel_area` cells
+    /// (scheduling overhead would dominate) and on one thread (tiling
+    /// buys nothing). Lane tiles are the unit of vectorization, so they
+    /// pay off on one thread and from [`LANE_MIN_AREA`] cells (or
+    /// `min_parallel_area`, if lower).
+    pub fn runs_untiled(&self, (n, m): (usize, usize), vectorized: bool) -> bool {
+        let min_area = if vectorized {
+            self.min_parallel_area.min(LANE_MIN_AREA)
+        } else {
+            self.min_parallel_area
+        };
+        !self.shards((n, m))
+            && (n == 0 || m == 0 || n * m < min_area || (self.threads == 1 && !vectorized))
+    }
 }
 
-/// Per-worker scratch: reusable tile output plus the worker's running
-/// optimum.
-struct Scratch {
-    out: TileOut,
-    top: crate::borders::HStripe,
-    left: crate::borders::VStripe,
-    best: BestCell,
-}
-
-/// Parallel tiled score-only pass of kind `K` (same contract as
-/// [`anyseq_core::pass::score_pass`], including the Hirschberg `tb`
-/// boundary adjustment).
+/// Parallel tiled score-only pass of kind `K` on scalar tiles (same
+/// contract as [`anyseq_core::pass::score_pass`], including the
+/// Hirschberg `tb` boundary adjustment): one [`slab_score_pass`] over
+/// the whole subject, or the chain of slabs `cfg.shard_cells` asks for.
 pub fn tiled_score_pass<K, G, S>(
     gap: &G,
     subst: &S,
@@ -98,85 +122,13 @@ where
     G: GapModel,
     S: SubstScore,
 {
-    let n = q.len();
-    let m = s.len();
-    // Shard oversized pairs regardless of thread count — the memory
-    // bound matters even single-threaded. Because every Hirschberg
-    // half-pass routes through here, alignment shards automatically.
-    if cfg.shard_cells > 0 && n > 0 && m > 1 && (n as u64) * (m as u64) > cfg.shard_cells {
-        return crate::shard::sharded_score_pass::<K, G, S>(gap, subst, q, s, tb, cfg);
-    }
-    if n == 0 || m == 0 || n * m < cfg.min_parallel_area || cfg.threads == 1 {
+    let dims = (q.len(), s.len());
+    if cfg.runs_untiled(dims, false) {
         return score_pass::<K, G, S>(gap, subst, q, s, tb);
     }
-
-    let grid = TileGrid::new(n, m, cfg.tile);
-    let borders = BorderStore::init::<K, G>(&grid, gap, tb);
-
-    let compute = |scratch: &mut Scratch, tiles: &[TileId]| {
-        for &t in tiles {
-            let (i0, th) = grid.rows(t.ti);
-            let (j0, tw) = grid.cols(t.tj);
-            // Take the input stripes (swap avoids reallocation; the slots
-            // are refilled with our outputs below).
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut scratch.top.h, &mut slot.h);
-                std::mem::swap(&mut scratch.top.e, &mut slot.e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut scratch.left.h, &mut slot.h);
-                std::mem::swap(&mut scratch.left.f, &mut slot.f);
-            }
-            relax_tile::<K, G, S, _>(
-                gap,
-                subst,
-                &q[i0 - 1..i0 - 1 + th],
-                &s[j0 - 1..j0 - 1 + tw],
-                (i0, j0),
-                (n, m),
-                TileIn {
-                    top_h: &scratch.top.h,
-                    top_e: &scratch.top.e,
-                    left_h: &scratch.left.h,
-                    left_f: &scratch.left.f,
-                },
-                &mut scratch.out,
-                &mut NoSink,
-            );
-            scratch.best.merge(&scratch.out.best);
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.bot_h);
-                std::mem::swap(&mut slot.e, &mut scratch.out.bot_e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.right_h);
-                std::mem::swap(&mut slot.f, &mut scratch.out.right_f);
-            }
-        }
-    };
-    let make_scratch = || Scratch {
-        out: TileOut::new(),
-        top: Default::default(),
-        left: Default::default(),
-        best: BestCell::empty(),
-    };
-
-    let scratches = if cfg.static_schedule {
-        run_static(&grid, cfg.threads, make_scratch, compute)
-    } else {
-        run_dynamic(&grid, cfg.threads, 1, make_scratch, compute)
-    };
-
-    let (last_h, last_e) = borders.assemble_last_rows(&grid);
-    let mut best = BestCell::empty();
-    for scr in &scratches {
-        best.merge(&scr.best);
-    }
-    finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
+    chained_pass::<K, G>(gap, dims, tb, cfg, |cols, seam| {
+        slab_score_pass::<K, G, S>(gap, subst, q, s, cols, tb, seam, cfg)
+    })
 }
 
 /// Applies the kind's optimum conventions to a tracked best cell and the

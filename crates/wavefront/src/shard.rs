@@ -12,16 +12,17 @@
 //! grid working set of a chromosome-scale pair to one slab, and is the
 //! hand-off a multi-process deployment would ship over the wire.
 
-use crate::borders::BorderStore;
+use crate::borders::{BorderStore, HStripe, VStripe};
 use crate::grid::{TileGrid, TileId};
 use crate::pass::{finalize, ParallelCfg};
-use crate::scheduler::run_dynamic;
+use crate::scheduler::{run_dynamic, run_static};
 use anyseq_core::kind::AlignKind;
 use anyseq_core::pass::PassOutput;
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
+use std::ops::Range;
 
 /// The complete DP frontier at one absolute subject column: everything
 /// a pass over the columns to its right needs from the columns to its
@@ -106,6 +107,23 @@ pub fn plan_columns(n: usize, m: usize, shard_cells: u64) -> Vec<(usize, usize)>
     plan
 }
 
+/// Tiles one pass relaxed, by kernel — the "which specialized variant
+/// ran" half of the wavefront telemetry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TileCounts {
+    /// Tiles relaxed `L` at a time in 16-bit vector lanes.
+    pub simd: u64,
+    /// Tiles relaxed one at a time by the scalar i32 tile kernel.
+    pub scalar: u64,
+}
+
+impl std::ops::AddAssign for TileCounts {
+    fn add_assign(&mut self, other: TileCounts) {
+        self.simd += other.simd;
+        self.scalar += other.scalar;
+    }
+}
+
 /// Result of one slab pass: the outgoing frontier plus the slab's share
 /// of the final DP row and the slab-local optimum.
 #[derive(Debug, Clone)]
@@ -120,22 +138,191 @@ pub struct SlabOutput {
     pub last_e: Vec<Score>,
     /// Best cell seen inside the slab (absolute coordinates).
     pub best: BestCell,
+    /// Tiles the slab relaxed, by kernel.
+    pub tiles: TileCounts,
 }
 
-/// Per-worker scratch for the slab pass (mirror of the one in
-/// `pass.rs`; kept private to each pass).
-struct Scratch {
+/// Per-worker scratch of the scalar tile kernel: reusable stripe and
+/// output buffers plus the worker's running optimum and tile count.
+/// Lane kernels embed one for their scalar fallback and expose it
+/// through `AsRef`, which is how [`slab_pass`] merges every worker's
+/// optimum and counts.
+#[derive(Debug, Default)]
+pub struct TileScratch {
     out: TileOut,
-    top: crate::borders::HStripe,
-    left: crate::borders::VStripe,
+    top: HStripe,
+    left: VStripe,
     best: BestCell,
+    /// Tiles this worker relaxed.
+    pub tiles: TileCounts,
 }
 
-/// Tiled score-only pass over one subject slab `cols = (c0, c1)` of the
-/// full pair `(q, s)`, seeded from `seam` (the frontier at column `c0`)
-/// or from the kind's standard initialization when `seam` is `None`
-/// (first slab). Only the slab's own `O(n + width)` border stripes are
-/// resident. Bit-identical to the same columns of an unsharded pass.
+impl AsRef<TileScratch> for TileScratch {
+    fn as_ref(&self) -> &TileScratch {
+        self
+    }
+}
+
+/// One slab pass in flight: its tile grid and live border stripes,
+/// handed to the per-batch compute callback of [`slab_pass`].
+pub struct Slab {
+    /// Tiling of the slab's `n × width` sub-matrix.
+    pub grid: TileGrid,
+    borders: BorderStore,
+    /// Subject columns left of the slab: slab-local column `j` is
+    /// absolute column `c0 + j`.
+    c0: usize,
+    /// Subject length of the whole pair.
+    m: usize,
+}
+
+impl Slab {
+    /// Swaps tile `t`'s border slots with `h` (its column slot) and `v`
+    /// (its row slot): before relaxing, this takes the tile's input
+    /// stripes; after, it publishes the outputs (bottom stripe in `h`,
+    /// right stripe in `v`). Buffers trade places, nothing is copied.
+    pub fn exchange(&self, t: TileId, h: &mut HStripe, v: &mut VStripe) {
+        {
+            let mut slot = self.borders.col[t.tj as usize].lock();
+            std::mem::swap(&mut h.h, &mut slot.h);
+            std::mem::swap(&mut h.e, &mut slot.e);
+        }
+        let mut slot = self.borders.row[t.ti as usize].lock();
+        std::mem::swap(&mut v.h, &mut slot.h);
+        std::mem::swap(&mut v.f, &mut slot.f);
+    }
+
+    /// Query code positions (0-based) of tile `t`'s rows.
+    #[inline]
+    pub fn q_span(&self, t: TileId) -> Range<usize> {
+        let (i0, h) = self.grid.rows(t.ti);
+        i0 - 1..i0 - 1 + h
+    }
+
+    /// Subject code positions (0-based, absolute in the pair) of tile
+    /// `t`'s columns.
+    #[inline]
+    pub fn s_span(&self, t: TileId) -> Range<usize> {
+        let (j0, w) = self.grid.cols(t.tj);
+        self.c0 + j0 - 1..self.c0 + j0 - 1 + w
+    }
+
+    /// Relaxes tile `t` with the scalar tile kernel: takes its stripes,
+    /// relaxes, merges the tile optimum into `scr` and publishes.
+    pub fn relax_scalar<K, G, S>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        t: TileId,
+        scr: &mut TileScratch,
+    ) where
+        K: AlignKind,
+        G: GapModel,
+        S: SubstScore,
+    {
+        self.exchange(t, &mut scr.top, &mut scr.left);
+        let (qs, ss) = (self.q_span(t), self.s_span(t));
+        // Absolute coordinates: the kind's border-optimum detection
+        // needs the pair's true dimensions.
+        relax_tile::<K, G, S, _>(
+            gap,
+            subst,
+            &q[qs.clone()],
+            &s[ss.clone()],
+            (qs.start + 1, ss.start + 1),
+            (q.len(), self.m),
+            TileIn {
+                top_h: &scr.top.h,
+                top_e: &scr.top.e,
+                left_h: &scr.left.h,
+                left_f: &scr.left.f,
+            },
+            &mut scr.out,
+            &mut NoSink,
+        );
+        scr.best.merge(&scr.out.best);
+        scr.tiles.scalar += 1;
+        std::mem::swap(&mut scr.top.h, &mut scr.out.bot_h);
+        std::mem::swap(&mut scr.top.e, &mut scr.out.bot_e);
+        std::mem::swap(&mut scr.left.h, &mut scr.out.right_h);
+        std::mem::swap(&mut scr.left.f, &mut scr.out.right_f);
+        self.exchange(t, &mut scr.top, &mut scr.left);
+    }
+}
+
+/// The one tiled pass: relaxes subject slab `cols = (c0, c1)` of an
+/// `n × m` pair (`dims`) on square tiles of edge `tile`, seeded from
+/// `seam` (the frontier at column `c0`) or from the kind's standard
+/// initialization when `seam` is `None`. Only the slab's own
+/// `O(n + width)` border stripes are resident.
+///
+/// The kernel is the caller's: `compute` receives up to `batch` ready
+/// tiles at a time (1 for scalar tiles; the lane count for a vector
+/// kernel, which falls back to [`Slab::relax_scalar`] for short
+/// batches) and must relax every one of them. Border set-up, the
+/// wavefront schedule (`cfg.threads`; `cfg.static_schedule` when
+/// `batch == 1`), last-row assembly, seam export and the merge of the
+/// workers' optima and tile counts happen here, once for every kernel.
+#[allow(clippy::too_many_arguments)]
+pub fn slab_pass<K, G, W>(
+    gap: &G,
+    dims: (usize, usize),
+    cols: (usize, usize),
+    tb: Score,
+    seam: Option<&ShardSeam>,
+    cfg: &ParallelCfg,
+    (tile, batch): (usize, usize),
+    make_scratch: impl Fn() -> W + Sync,
+    compute: impl Fn(&mut W, &Slab, &[TileId]) + Sync,
+) -> SlabOutput
+where
+    K: AlignKind,
+    G: GapModel,
+    W: AsRef<TileScratch> + Send,
+{
+    let (n, m) = dims;
+    let (c0, c1) = cols;
+    assert!(n > 0 && c0 < c1 && c1 <= m, "degenerate slab {cols:?}");
+    if let Some(seam) = seam {
+        assert_eq!(seam.col, c0, "seam column does not meet the slab");
+        assert_eq!(seam.h.len(), n, "seam height does not match the query");
+    }
+
+    let grid = TileGrid::new(n, c1 - c0, tile);
+    let slab = Slab {
+        grid,
+        borders: BorderStore::init_slab::<K, G>(&grid, gap, tb, c0, seam),
+        c0,
+        m,
+    };
+    let work = |scr: &mut W, tiles: &[TileId]| compute(scr, &slab, tiles);
+    let threads = cfg.threads.max(1);
+    let scratches = if cfg.static_schedule && batch == 1 {
+        run_static(&grid, threads, make_scratch, work)
+    } else {
+        run_dynamic(&grid, threads, batch, make_scratch, work)
+    };
+
+    let (last_h, last_e) = slab.borders.assemble_last_rows(&grid);
+    let mut best = BestCell::empty();
+    let mut tiles = TileCounts::default();
+    for scr in &scratches {
+        best.merge(&scr.as_ref().best);
+        tiles += scr.as_ref().tiles;
+    }
+    SlabOutput {
+        seam: slab.borders.export_seam(&grid, c1),
+        last_h,
+        last_e,
+        best,
+        tiles,
+    }
+}
+
+/// [`slab_pass`] on scalar tiles of edge `cfg.tile`. Bit-identical to
+/// the same columns of an unsharded pass.
 #[allow(clippy::too_many_arguments)]
 pub fn slab_score_pass<K, G, S>(
     gap: &G,
@@ -152,121 +339,57 @@ where
     G: GapModel,
     S: SubstScore,
 {
-    let n = q.len();
-    let m = s.len();
-    let (c0, c1) = cols;
-    assert!(n > 0 && c0 < c1 && c1 <= m, "degenerate slab {cols:?}");
-    if let Some(seam) = seam {
-        assert_eq!(seam.col, c0, "seam column does not meet the slab");
-        assert_eq!(seam.h.len(), n, "seam height does not match the query");
-    }
-
-    let grid = TileGrid::new(n, c1 - c0, cfg.tile);
-    let borders = BorderStore::init_slab::<K, G>(&grid, gap, tb, c0, seam);
-
-    let compute = |scratch: &mut Scratch, tiles: &[TileId]| {
-        for &t in tiles {
-            let (i0, th) = grid.rows(t.ti);
-            let (j0, tw) = grid.cols(t.tj);
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut scratch.top.h, &mut slot.h);
-                std::mem::swap(&mut scratch.top.e, &mut slot.e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut scratch.left.h, &mut slot.h);
-                std::mem::swap(&mut scratch.left.f, &mut slot.f);
-            }
-            // Absolute subject columns: the slab-local column `j` is
-            // `c0 + j` in the pair, and the kind's border-optimum
-            // detection needs the pair's true dimensions.
-            relax_tile::<K, G, S, _>(
-                gap,
-                subst,
-                &q[i0 - 1..i0 - 1 + th],
-                &s[c0 + j0 - 1..c0 + j0 - 1 + tw],
-                (i0, c0 + j0),
-                (n, m),
-                TileIn {
-                    top_h: &scratch.top.h,
-                    top_e: &scratch.top.e,
-                    left_h: &scratch.left.h,
-                    left_f: &scratch.left.f,
-                },
-                &mut scratch.out,
-                &mut NoSink,
-            );
-            scratch.best.merge(&scratch.out.best);
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.bot_h);
-                std::mem::swap(&mut slot.e, &mut scratch.out.bot_e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.right_h);
-                std::mem::swap(&mut slot.f, &mut scratch.out.right_f);
-            }
-        }
-    };
-    let make_scratch = || Scratch {
-        out: TileOut::new(),
-        top: Default::default(),
-        left: Default::default(),
-        best: BestCell::empty(),
-    };
-
-    let scratches = run_dynamic(&grid, cfg.threads.max(1), 1, make_scratch, compute);
-
-    let (last_h, last_e) = borders.assemble_last_rows(&grid);
-    let seam = borders.export_seam(&grid, c1);
-    let mut best = BestCell::empty();
-    for scr in &scratches {
-        best.merge(&scr.best);
-    }
-    SlabOutput {
+    slab_pass::<K, G, _>(
+        gap,
+        (q.len(), s.len()),
+        cols,
+        tb,
         seam,
-        last_h,
-        last_e,
-        best,
-    }
+        cfg,
+        (cfg.tile, 1),
+        TileScratch::default,
+        |scr: &mut TileScratch, slab, tiles| {
+            for &t in tiles {
+                slab.relax_scalar::<K, G, S>(gap, subst, q, s, t, scr);
+            }
+        },
+    )
 }
 
-/// Full score pass executed as a serial chain of subject slabs with
-/// seam hand-off — same contract (and bit-identical output) as
-/// [`crate::tiled_score_pass`], but peak resident border + grid memory
-/// is bounded by one slab instead of the whole subject.
-pub fn sharded_score_pass<K, G, S>(
+/// Runs a whole `n × m` pass (`dims`) as the chain of `slab` calls
+/// `cfg`'s shard plan asks for — a single slab `(0, m)` when the pair
+/// is not sharded — handing each slab's seam to the next, and
+/// finalizes the kind's optimum. Same contract (and bit-identical
+/// output) as [`anyseq_core::pass::score_pass`]; peak resident border
+/// + grid memory is bounded by one slab.
+pub fn chained_pass<K, G>(
     gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
+    dims: (usize, usize),
     tb: Score,
     cfg: &ParallelCfg,
+    mut slab: impl FnMut((usize, usize), Option<&ShardSeam>) -> SlabOutput,
 ) -> PassOutput
 where
     K: AlignKind,
     G: GapModel,
-    S: SubstScore,
 {
-    let n = q.len();
-    let m = s.len();
-    let plan = plan_columns(n, m, cfg.shard_cells);
+    let (n, m) = dims;
+    let plan = if cfg.shards(dims) {
+        plan_columns(n, m, cfg.shard_cells)
+    } else {
+        vec![(0, m)]
+    };
     let mut last_h = Vec::with_capacity(m + 1);
     let mut last_e = Vec::with_capacity(m);
     let mut best = BestCell::empty();
     let mut seam: Option<ShardSeam> = None;
     for (k, &cols) in plan.iter().enumerate() {
-        let slab = slab_score_pass::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref(), cfg);
-        if k == 0 {
-            last_h.extend_from_slice(&slab.last_h);
-        } else {
-            last_h.extend_from_slice(&slab.last_h[1..]);
-        }
-        last_e.extend_from_slice(&slab.last_e);
-        best.merge(&slab.best);
-        seam = Some(slab.seam);
+        let out = slab(cols, seam.as_ref());
+        let corner = usize::from(k > 0);
+        last_h.extend_from_slice(&out.last_h[corner..]);
+        last_e.extend_from_slice(&out.last_e);
+        best.merge(&out.best);
+        seam = Some(out.seam);
     }
     finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
 }
@@ -274,6 +397,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::tiled_score_pass;
     use anyseq_core::kind::{Global, Local, SemiGlobal};
     use anyseq_core::pass::score_pass;
     use anyseq_core::scoring::{simple, AffineGap, LinearGap};
@@ -332,7 +456,7 @@ mod tests {
             ($kind:ty) => {{
                 let scalar =
                     score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-                let sharded = sharded_score_pass::<$kind, _, _>(
+                let sharded = tiled_score_pass::<$kind, _, _>(
                     &gap,
                     &subst,
                     q.codes(),
@@ -361,14 +485,8 @@ mod tests {
         let mut cfg = ParallelCfg::threads(1).with_tile(64);
         cfg.shard_cells = 64 * 700;
         let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-        let sharded = sharded_score_pass::<Global, _, _>(
-            &gap,
-            &subst,
-            q.codes(),
-            s.codes(),
-            gap.open(),
-            &cfg,
-        );
+        let sharded =
+            tiled_score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open(), &cfg);
         assert_eq!(sharded.score, scalar.score);
         assert_eq!(sharded.last_h, scalar.last_h);
     }

@@ -24,7 +24,10 @@ Fails (exit 1) if the report is missing any required key:
     `obs.trace_spans` present, plus all nine `stage.<name>_ns` wall
     totals with a non-zero `stage.kernel_ns` (a traced run that spent
     no time in kernels means the span plumbing is broken),
-  * `long.score_gcups` / `long.align_gcups` when `long_len` > 0,
+  * `long.score_gcups` / `long.align_gcups` when `long_len` > 0, plus
+    the wavefront tile counters `long.simd_tiles` (positive: the
+    global passes must run 16-lane tiles — zero means they silently
+    fell back to scalar tiles) and `long.scalar_tiles` (zero allowed),
   * the kind-generic SIMD bin keys when `semi_len` > 0:
     `semi.{score,align}_gcups`, `semi.score_gcups_scalar`,
     `semi.score_speedup`, `semi.score_gcups_xdrop` all positive and
@@ -34,8 +37,9 @@ Fails (exit 1) if the report is missing any required key:
     `local.score_gcups_scalar` and `local.score_speedup` positive,
   * the sharded chromosome-scale bin keys when `huge_len` > 0:
     `huge.{score,align}_gcups`, `huge.score_gcups_unsharded`,
-    `huge.peak_shard_mb`, `huge.budget_mb`, `huge.seam_bytes` and
-    `sched.shards` all positive — and additionally
+    `huge.peak_shard_mb`, `huge.budget_mb`, `huge.seam_bytes`,
+    `huge.simd_tiles` and `sched.shards` all positive, and
+    `huge.scalar_tiles` present — and additionally
     `huge.peak_shard_mb <= huge.budget_mb` (a sharded run whose
     resident peak exceeds the unsharded border budget defeats the
     point of sharding),
@@ -66,6 +70,13 @@ STAGES = (
     "cache_insert",
     "merge",
 )
+
+
+def tile_keys(bin_name: str) -> list:
+    """Wavefront tile counters of an exclusive-wavefront bin: its global
+    passes run 16-lane tiles, so a zero `simd_tiles` is a silent scalar
+    fall-back; scalar tiles (edges, short batches) may be zero."""
+    return [(f"{bin_name}.simd_tiles", True), (f"{bin_name}.scalar_tiles", False)]
 
 
 def check(path: str, required: list) -> int:
@@ -151,6 +162,7 @@ def main() -> int:
     if long_len > 0:
         required.append(("long.score_gcups", True))
         required.append(("long.align_gcups", True))
+        required.extend(tile_keys("long"))
     if semi_len > 0:
         # The kind-generic SIMD bin: semi-global score/align GCUPS,
         # the scalar baseline the speedup is measured against, and the
@@ -187,6 +199,7 @@ def main() -> int:
             "sched.shards",
         ):
             required.append((key, True))
+        required.extend(tile_keys("huge"))
     if dup_frac > 0:
         # A duplicated-read smoke run must actually hit the cache.
         required.append(("dup.hit_rate", True))

@@ -8,6 +8,7 @@ use anyseq::gpu::{Device, GpuAligner};
 use anyseq::prelude::*;
 use anyseq::simd::{score_batch_simd, simd_tiled_score_pass};
 use anyseq_baselines::{NvbioLike, ParasailLike, SeqAnLike};
+use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::Global;
 use anyseq_engine::{
     BackendId, BatchCfg, BatchScheduler, Dispatch, Engine, GapSpec, KindSpec, Policy, SchemeSpec,
@@ -641,6 +642,73 @@ proptest! {
             &aln_cut.results[0].ops, &aln_base.results[0].ops,
             "CIGAR shards={}", shards
         );
+    }
+}
+
+/// A random scheme at one of three score magnitudes: small (the usual
+/// DNA range), mid (the i16 budget shrinks the lane tile below
+/// `LANE_TILE` or rules lanes out) and past the i16 budget entirely.
+fn random_spec(mag: u32, factors: (i32, i32, i32, i32), affine_gaps: bool) -> SchemeSpec {
+    let scale = [1, 40, 1500][mag as usize % 3];
+    let (a, b, c, d) = factors;
+    if affine_gaps {
+        SchemeSpec::global_affine(scale * a, -scale * b, -scale * c, -scale * d)
+    } else {
+        SchemeSpec::global_linear(scale * a, -scale * b, -scale * c)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn wavefront_global_runs_match_the_scheme_for_random_schemes(
+        len in 500usize..900,
+        seed in 0u64..1000,
+        mag in 0u32..3,
+        factors in (1i32..4, 1i32..4, 1i32..4, 1i32..3),
+        affine_gaps in prop_oneof![Just(false), Just(true)],
+        shards in 1u64..4,
+    ) {
+        // Global passes of the wavefront engine run on 16-bit lane
+        // tiles (or scalar tiles when the scheme's i16 budget rules
+        // lanes out): scores and CIGARs must equal the scalar scheme's
+        // for every scheme the engine accepts, sharded or not.
+        let (q, s) = genome_pair(len, 0.1, seed ^ 0x1a7e);
+        let spec = random_spec(mag, factors, affine_gaps);
+        let (want_score, want_ops) = anyseq_engine::with_scheme!(spec, |scheme, _K| {
+            (scheme.score(&q, &s), scheme.align(&q, &s).ops)
+        });
+        let cells = (q.len() as u64) * (s.len() as u64);
+        let pairs = vec![(q.clone(), s.clone())];
+        let sched = scheduler_for(2, 16);
+        let policy = anyseq_engine::DispatchPolicy::fixed(BackendId::Wavefront);
+        let dispatch = if shards > 1 {
+            policy.shard_cells(cells / shards).standard()
+        } else {
+            policy.standard()
+        };
+        let scored = sched.score_pairs(&dispatch, &spec, &pairs);
+        prop_assert_eq!(scored.results[0], want_score, "engine score {:?} shards={}", spec, shards);
+        let aligned = sched.align_pairs(&dispatch, &spec, &pairs);
+        prop_assert_eq!(aligned.results[0].score, want_score, "engine align {:?}", spec);
+        prop_assert_eq!(&aligned.results[0].ops, &want_ops, "engine CIGAR {:?}", spec);
+
+        // Unsharded pairs this small run untiled in the engine (below
+        // `min_parallel_area`), so drive the engine's pass provider on
+        // lane tiles directly.
+        let cfg = ParallelCfg { threads: 2, tile: 64, min_parallel_area: 0, static_schedule: false, shard_cells: 0 };
+        anyseq_engine::with_scheme!(spec, |scheme, K| {
+            let pass = anyseq::simd::SimdPass::<16>::new(cfg);
+            let out = HalfPass::pass::<K>(&pass, scheme.gap(), scheme.subst(), q.codes(), s.codes(), scheme.gap().open());
+            prop_assert_eq!(out.score, want_score, "lane pass score {:?}", spec);
+            let aln = align_with_pass::<K, _, _, _>(
+                &pass, scheme.gap(), scheme.subst(), q.codes(), s.codes(), &AlignConfig::default(),
+            );
+            prop_assert_eq!(&aln.ops, &want_ops, "lane pass CIGAR {:?}", spec);
+            let lanes = anyseq::simd::lane_tile(scheme.gap(), scheme.subst()).is_some();
+            prop_assert_eq!(pass.tiles().simd > 0, lanes, "lane use {:?} {:?}", spec, pass.tiles());
+        });
     }
 }
 
