@@ -26,6 +26,7 @@ use anyseq_core::scoring::GapModel;
 use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
 use anyseq_seq::Seq;
 use anyseq_simd::kernel::{block_kernel_masked, SimdSubst};
+use anyseq_simd::Isa;
 use anyseq_wavefront::borders::{BorderStore, HStripe, VStripe};
 use anyseq_wavefront::grid::{TileGrid, TileId};
 use anyseq_wavefront::pass::finalize;
@@ -413,7 +414,7 @@ fn masked_block<G, SS, const L: usize>(
         })
         .collect();
 
-    block_kernel_masked(gap, subst, &q_rows, &s_cols, &mut block);
+    block_kernel_masked(Isa::host(), gap, subst, &q_rows, &s_cols, &mut block);
 
     for (l, t) in tiles.iter().enumerate() {
         for c in 0..=w {

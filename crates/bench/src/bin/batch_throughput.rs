@@ -75,6 +75,12 @@
 //! * `<mode>.peak_batch_mb` — estimated peak batch memory: pair bytes
 //!   resident (borrowed, not cloned) plus the worst-case in-flight
 //!   lane-transpose buffers (`threads × lanes × (max |q| + max |s|)`).
+//!
+//! Across both modes: `simd.avx2_groups` — SIMD lane groups whose
+//! kernels ran the AVX2 variant (runtime dispatch, see
+//! `anyseq_simd::Isa`) on the full-thread `simd` runs — and `host.avx2`
+//! (1 when the host has AVX2, else 0), so a report shows whether the
+//! vector variant it claims actually ran.
 
 use anyseq_bench::gcups::measure_gcups;
 use anyseq_bench::report::{dump_json, Table};
@@ -111,6 +117,7 @@ fn main() {
     // One reference for BOTH modes: alignment scores must equal
     // score-only scores, backend by backend, mode by mode.
     let mut expected_scores: Option<Vec<i32>> = None;
+    let mut avx2_groups = 0u64;
 
     // Peak-memory estimate: the batch itself stays resident (borrowed
     // by the view, never cloned by the scheduler); the only transient
@@ -190,6 +197,7 @@ fn main() {
                 );
                 if t == threads {
                     mode_bytes_copied += stats.bytes_copied();
+                    avx2_groups += stats.counters.get("simd.avx2_groups").copied().unwrap_or(0);
                 }
                 let scaling = match (t, single) {
                     (1, _) => {
@@ -228,6 +236,10 @@ fn main() {
         "(median of {repeats} runs over {} pairs; scores cross-checked between backends and modes)",
         pairs.len()
     );
+    let host_avx2 = anyseq_simd::Isa::avx2().is_some();
+    println!("simd.avx2_groups = {avx2_groups} (host avx2: {host_avx2})");
+    json.insert("simd.avx2_groups".into(), avx2_groups as f64);
+    json.insert("host.avx2".into(), if host_avx2 { 1.0 } else { 0.0 });
     if threads > 1 {
         for mode in ["score", "align"] {
             let s1 = json.get(&format!("{mode}.simd_1t")).copied().unwrap_or(0.0);

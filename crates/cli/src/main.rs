@@ -281,6 +281,10 @@ fn cmd_batch(args: &[String]) {
         mismatch: mi,
         gap,
     };
+    if let Err(e) = spec.validate() {
+        eprintln!("invalid scheme: {e}");
+        exit(1)
+    }
     let default_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -87,8 +87,6 @@ impl Engine for ScalarEngine {
 /// Lane widths the SIMD batcher supports (16-bit score lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdLanes {
-    /// 128-bit registers.
-    L8,
     /// 256-bit registers (AVX2).
     #[default]
     L16,
@@ -101,7 +99,6 @@ impl SimdLanes {
     /// `(|q| + |s|) × count` bytes per lane group).
     pub fn count(self) -> usize {
         match self {
-            SimdLanes::L8 => 8,
             SimdLanes::L16 => 16,
             SimdLanes::L32 => 32,
         }
@@ -144,6 +141,7 @@ struct SimdCounters {
     band_cells: AtomicU64,
     bytes_copied: AtomicU64,
     xdrop_retired: AtomicU64,
+    avx2_groups: AtomicU64,
 }
 
 impl SimdCounters {
@@ -160,6 +158,7 @@ impl SimdCounters {
             .fetch_add(t.bytes_copied, Ordering::Relaxed);
         self.xdrop_retired
             .fetch_add(t.xdrop_retired, Ordering::Relaxed);
+        self.avx2_groups.fetch_add(t.avx2_groups, Ordering::Relaxed);
     }
 }
 
@@ -220,9 +219,6 @@ impl Engine for SimdEngine {
             spec,
             |scheme, _K| {
                 let (scores, trace) = match self.lanes {
-                    SimdLanes::L8 => {
-                        score_batch_simd_xdrop::<_, _, _, 8>(&scheme, pairs, threads, self.xdrop)
-                    }
                     SimdLanes::L16 => {
                         score_batch_simd_xdrop::<_, _, _, 16>(&scheme, pairs, threads, self.xdrop)
                     }
@@ -260,9 +256,6 @@ impl Engine for SimdEngine {
             |scheme, _K| {
                 // X-drop never applies here: tracebacks stay exact.
                 let (alns, trace) = match self.lanes {
-                    SimdLanes::L8 => {
-                        align_batch_simd::<_, _, _, 8>(&scheme, pairs, threads, self.band)
-                    }
                     SimdLanes::L16 => {
                         align_batch_simd::<_, _, _, 16>(&scheme, pairs, threads, self.band)
                     }
@@ -295,6 +288,7 @@ impl Engine for SimdEngine {
             ("simd.band_cells", &self.counters.band_cells),
             ("simd.bytes_copied", &self.counters.bytes_copied),
             ("simd.xdrop_retired", &self.counters.xdrop_retired),
+            ("simd.avx2_groups", &self.counters.avx2_groups),
         ]
         .into_iter()
         .filter_map(|(name, cell)| {
@@ -778,6 +772,14 @@ mod tests {
                 .iter()
                 .any(|&(n, v)| n == "simd.lane_pairs" && v > 0),
             "lane traceback must have run: {counters:?}"
+        );
+        // Every lane group runs the AVX2 variant exactly where the host
+        // has AVX2.
+        let avx2 = counters.iter().find(|&&(n, _)| n == "simd.avx2_groups");
+        assert_eq!(
+            avx2.is_some(),
+            anyseq_simd::Isa::avx2().is_some(),
+            "{counters:?}"
         );
         assert!(engine.drain_counters().is_empty(), "drain resets");
     }

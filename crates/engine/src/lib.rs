@@ -94,7 +94,7 @@ pub use scheduler::{
     SCHED_SEAM_BYTES, SCHED_SHARDS,
 };
 pub use shared::SharedDispatcher;
-pub use spec::{GapSpec, KindSpec, SchemeSpec};
+pub use spec::{GapSpec, KindSpec, SchemeError, SchemeSpec};
 pub use stats::{cell_share_ns, BackendUse, BatchStats};
 
 pub use anyseq_wavefront::ShardSeam;
@@ -111,7 +111,7 @@ pub mod prelude {
         SCHED_SEAM_BYTES, SCHED_SHARDS,
     };
     pub use crate::shared::SharedDispatcher;
-    pub use crate::spec::{GapSpec, KindSpec, SchemeSpec};
+    pub use crate::spec::{GapSpec, KindSpec, SchemeError, SchemeSpec};
     pub use crate::stats::{BackendUse, BatchStats};
     pub use anyseq_wavefront::ShardSeam;
 }

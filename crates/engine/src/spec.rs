@@ -12,7 +12,7 @@
 //! monomorphized kernels — the runtime↔compile-time bridge every
 //! backend adapter uses.
 
-use anyseq_core::score::Score;
+use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::Alignment;
 use anyseq_seq::Seq;
 
@@ -69,6 +69,58 @@ pub enum GapSpec {
     },
 }
 
+/// Largest magnitude [`SchemeSpec::validate`] accepts for a score
+/// parameter: far beyond any published scoring scheme, and small enough
+/// that every step sum (`open + extend`, magnitudes) is exact in i32.
+pub const MAX_SCORE_PARAM: i32 = 1 << 16;
+
+/// Why a [`SchemeSpec`] (or a pair under it) was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchemeError {
+    /// A gap score (`gap`, `open` or `extend`) above 0.
+    PositiveGap {
+        /// Offending field.
+        field: &'static str,
+        /// Its value.
+        value: i32,
+    },
+    /// A score parameter beyond ±[`MAX_SCORE_PARAM`].
+    OutOfRange {
+        /// Offending field.
+        field: &'static str,
+        /// Its value.
+        value: i32,
+    },
+    /// A pair longer than [`SchemeSpec::max_pair_len`]: its scores
+    /// could reach the i32 DP's −∞ band.
+    TooLong {
+        /// `|q| + |s|` of the pair.
+        len: usize,
+        /// The scheme's limit.
+        max: usize,
+    },
+}
+
+impl std::fmt::Display for SchemeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchemeError::PositiveGap { field, value } => {
+                write!(f, "{field} = {value}, but gap scores must be <= 0")
+            }
+            SchemeError::OutOfRange { field, value } => {
+                write!(f, "{field} = {value} is beyond ±{MAX_SCORE_PARAM}")
+            }
+            SchemeError::TooLong { len, max } => write!(
+                f,
+                "pair length |q| + |s| = {len} exceeds {max}, the most this scheme scores \
+                 exactly in i32"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SchemeError {}
+
 /// A fully value-level alignment scheme: what a request carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchemeSpec {
@@ -107,6 +159,45 @@ impl SchemeSpec {
     pub fn with_kind(mut self, kind: KindSpec) -> SchemeSpec {
         self.kind = kind;
         self
+    }
+
+    /// Checks the parameters every kernel relies on: gap scores ≤ 0
+    /// (the core scoring constructors assert it) and every magnitude
+    /// within [`MAX_SCORE_PARAM`]. Input from the wire or the command
+    /// line goes through here before any kernel sees it.
+    pub fn validate(&self) -> Result<(), SchemeError> {
+        let gaps: &[(&'static str, i32)] = match self.gap {
+            GapSpec::Linear { gap } => &[("gap", gap)],
+            GapSpec::Affine { open, extend } => &[("open", open), ("extend", extend)],
+        };
+        let subst = [("match", self.match_score), ("mismatch", self.mismatch)];
+        for &(field, value) in subst.iter().chain(gaps) {
+            if value.unsigned_abs() > MAX_SCORE_PARAM as u32 {
+                return Err(SchemeError::OutOfRange { field, value });
+            }
+        }
+        match gaps.iter().find(|&&(_, value)| value > 0) {
+            Some(&(field, value)) => Err(SchemeError::PositiveGap { field, value }),
+            None => Ok(()),
+        }
+    }
+
+    /// Largest `|q| + |s|` this (validated) scheme scores exactly: no DP
+    /// cell moves more than one step — the largest of |match|,
+    /// |mismatch|, |extend| and |open + extend| — per sequence byte, and
+    /// scores must stay clear of the −∞ band below `NEG_INF / 2`.
+    pub fn max_pair_len(&self) -> usize {
+        let (open, extend) = match self.gap {
+            GapSpec::Linear { gap } => (0, gap),
+            GapSpec::Affine { open, extend } => (open, extend),
+        };
+        let step = [self.match_score, self.mismatch, extend, open + extend]
+            .iter()
+            .map(|v| v.unsigned_abs())
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        ((NEG_INF / 2).unsigned_abs() / step) as usize
     }
 
     /// Stable FNV-1a fingerprint of the whole scheme — the
@@ -331,6 +422,39 @@ macro_rules! with_simd_scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_refuses_what_the_kernels_cannot_run() {
+        assert_eq!(SchemeSpec::global_linear(2, -1, -1).validate(), Ok(()));
+        assert_eq!(SchemeSpec::global_affine(2, -1, 0, 0).validate(), Ok(()));
+        assert_eq!(
+            SchemeSpec::global_linear(2, -1, 5).validate(),
+            Err(SchemeError::PositiveGap {
+                field: "gap",
+                value: 5
+            })
+        );
+        assert_eq!(
+            SchemeSpec::global_affine(2, -1, -2, 1).validate(),
+            Err(SchemeError::PositiveGap {
+                field: "extend",
+                value: 1
+            })
+        );
+        assert_eq!(
+            SchemeSpec::global_linear(2, i32::MIN, -1).validate(),
+            Err(SchemeError::OutOfRange {
+                field: "mismatch",
+                value: i32::MIN
+            })
+        );
+        let edge = SchemeSpec::global_affine(MAX_SCORE_PARAM, -MAX_SCORE_PARAM, -1, -1);
+        assert_eq!(edge.validate(), Ok(()));
+        // Step 3 (|open + extend|): 2^28 / 3.
+        let aff = SchemeSpec::global_affine(2, -1, -2, -1);
+        assert_eq!(aff.max_pair_len(), (1 << 28) / 3);
+        assert!(edge.max_pair_len() >= 2048);
+    }
 
     #[test]
     fn spec_lowers_to_matching_scalar_scheme() {

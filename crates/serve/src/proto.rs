@@ -27,14 +27,16 @@
 //! verb keeps old clients decoding new servers' replies.
 //!
 //! Decoding is strict: unknown tags, truncated payloads, trailing
-//! bytes, invalid sequence codes and bad UTF-8 all produce a typed
+//! bytes, invalid sequence codes, schemes the kernels cannot run
+//! ([`SchemeSpec::validate`], pairs past [`SchemeSpec::max_pair_len`])
+//! and bad UTF-8 all produce a typed
 //! [`ProtoError`] — the session layer answers with an `ERROR` frame
 //! (code [`ErrCode::Malformed`]) instead of hanging up, so one bad
 //! client frame cannot silently desync into a dropped connection.
 
 use anyseq_core::alignment::{AlignOp, Alignment};
 use anyseq_core::score::Score;
-use anyseq_engine::{GapSpec, KindSpec, ReqKind, SchemeSpec};
+use anyseq_engine::{GapSpec, KindSpec, ReqKind, SchemeError, SchemeSpec};
 use std::io::{Read, Write};
 
 /// Default cap on a single frame's payload (64 MiB). A frame above the
@@ -216,6 +218,9 @@ pub enum ProtoError {
     },
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A request scheme the kernels cannot run, or a pair too long for
+    /// it.
+    BadScheme(SchemeError),
 }
 
 impl std::fmt::Display for ProtoError {
@@ -233,6 +238,7 @@ impl std::fmt::Display for ProtoError {
                 write!(f, "sequence byte {code} outside the 0..=4 code alphabet")
             }
             ProtoError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            ProtoError::BadScheme(e) => write!(f, "invalid scheme: {e}"),
         }
     }
 }
@@ -465,6 +471,14 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
                 },
                 t => return Err(ProtoError::UnknownGap(t)),
             };
+            let spec = SchemeSpec {
+                kind,
+                match_score,
+                mismatch,
+                gap,
+            };
+            spec.validate().map_err(ProtoError::BadScheme)?;
+            let max = spec.max_pair_len();
             let n = r.u32()? as usize;
             // Capacity is clamped by what the payload could possibly
             // hold (≥8 bytes per pair), so a forged count cannot force
@@ -473,6 +487,10 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
             for _ in 0..n {
                 let q_len = r.u32()? as usize;
                 let s_len = r.u32()? as usize;
+                let len = q_len.saturating_add(s_len);
+                if len > max {
+                    return Err(ProtoError::BadScheme(SchemeError::TooLong { len, max }));
+                }
                 let q = decode_codes(&mut r, q_len)?;
                 let s = decode_codes(&mut r, s_len)?;
                 pairs.push((q, s));
@@ -480,12 +498,7 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, ProtoError> {
             Message::Request(Request {
                 id,
                 mode,
-                spec: SchemeSpec {
-                    kind,
-                    match_score,
-                    mismatch,
-                    gap,
-                },
+                spec,
                 pairs,
             })
         }
@@ -729,6 +742,38 @@ mod tests {
         let n_off = forged.len() - 4;
         forged[n_off..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_message(&forged), Err(ProtoError::Truncated));
+    }
+
+    #[test]
+    fn schemes_the_kernels_cannot_run_are_refused() {
+        let request = |spec, len| {
+            encode_request(&Request {
+                id: 3,
+                mode: ReqKind::Score,
+                spec,
+                pairs: vec![(vec![0; len], vec![1; len])],
+            })
+        };
+        // A positive linear gap used to reach `scoring::linear`'s
+        // assertion inside a scheduler worker.
+        assert_eq!(
+            decode_message(&request(SchemeSpec::global_linear(2, -1, 5), 4)),
+            Err(ProtoError::BadScheme(SchemeError::PositiveGap {
+                field: "gap",
+                value: 5
+            }))
+        );
+        // Pairs past the scheme's i32 length budget are refused too.
+        let huge = SchemeSpec::global_linear(1 << 16, -(1 << 16), -1);
+        let (max, half) = (huge.max_pair_len(), huge.max_pair_len() / 2);
+        assert!(decode_message(&request(huge, half)).is_ok());
+        assert_eq!(
+            decode_message(&request(huge, half + 1)),
+            Err(ProtoError::BadScheme(SchemeError::TooLong {
+                len: 2 * (half + 1),
+                max
+            }))
+        );
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //! [`TraceStats::bytes_copied`] so callers can verify the pipeline
 //! above stayed zero-copy.
 
-use crate::kernel::{block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst};
-use crate::lanes::I16s;
+use crate::isa::Isa;
+use crate::kernel::{block_kernel_kind, from16, max_block_extent, BlockBorders, SimdSubst};
 use crate::traceback::TraceStats;
 use anyseq_core::kind::{AlignKind, OptRegion};
-use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
@@ -63,6 +62,31 @@ impl<const L: usize> LaneGroups<L> {
         }
         LaneGroups { groups, scalar_idx }
     }
+}
+
+/// The lane transpose of one group of equal-dimension pairs: row `r` of
+/// the query block holds byte `r` of every lane's query, column `c` of
+/// the subject block byte `c` of every lane's subject. It is the only
+/// copy of sequence bytes on the batch paths, `(|q| + |s|) × L` bytes.
+/// Each lane's slices are read front to back, one lane at a time.
+pub(crate) fn transpose_group<const L: usize>(
+    pairs: &[PairRef<'_>],
+    lanes: &[usize; L],
+) -> (Vec<[u8; L]>, Vec<[u8; L]>) {
+    let p0 = pairs[lanes[0]];
+    let mut q_rows = vec![[0u8; L]; p0.q.len()];
+    let mut s_cols = vec![[0u8; L]; p0.s.len()];
+    for (l, &k) in lanes.iter().enumerate() {
+        let p = pairs[k];
+        debug_assert!(p.q.len() == q_rows.len() && p.s.len() == s_cols.len());
+        for (row, &b) in q_rows.iter_mut().zip(p.q) {
+            row[l] = b;
+        }
+        for (col, &b) in s_cols.iter_mut().zip(p.s) {
+            col[l] = b;
+        }
+    }
+    (q_rows, s_cols)
 }
 
 /// Scores a batch of independent pairs with `L`-lane SIMD and
@@ -121,6 +145,7 @@ where
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
     let LaneGroups { groups, scalar_idx } = LaneGroups::<L>::build(pairs, extent_budget);
+    let isa = Isa::host();
     // X-drop only applies where an optimum can be frozen early; corner
     // kinds always relax the full matrix. Clamp to the i16 block budget.
     let xdrop16 = if matches!(K::OPT, OptRegion::Corner) {
@@ -162,7 +187,7 @@ where
                 let p0 = pairs[lanes[0]];
                 local_bytes += ((p0.q.len() + p0.s.len()) * L) as u64;
                 let (results, retired) =
-                    score_lane_group::<K, G, SS, L>(gap, subst, pairs, lanes, xdrop16);
+                    score_lane_group::<K, G, SS, L>(isa, gap, subst, pairs, lanes, xdrop16);
                 local_retired += retired.count_ones() as u64;
                 for (l, &idx) in lanes.iter().enumerate() {
                     // SAFETY: each pair index is written exactly once.
@@ -201,6 +226,7 @@ where
         scalar_pairs: scalar_idx.len() as u64,
         bytes_copied: bytes_copied.load(Ordering::Relaxed),
         xdrop_retired: lanes_retired.load(Ordering::Relaxed),
+        avx2_groups: groups.len() as u64 * u64::from(isa.is_avx2()),
         ..TraceStats::default()
     };
     (scores, stats)
@@ -209,6 +235,7 @@ where
 /// Scores `L` equal-dimension pairs in one vector block; returns the
 /// per-lane scores plus the X-drop retirement mask (0 when disabled).
 fn score_lane_group<K, G, SS, const L: usize>(
+    isa: Isa,
     gap: &G,
     subst: &SS,
     pairs: &[PairRef<'_>],
@@ -220,39 +247,14 @@ where
     G: GapModel,
     SS: SimdSubst,
 {
-    let n = pairs[lanes[0]].q.len();
-    let m = pairs[lanes[0]].s.len();
-    debug_assert!(lanes
-        .iter()
-        .all(|&k| pairs[k].q.len() == n && pairs[k].s.len() == m));
-
-    // Kind `K`'s init stripes are lane-uniform (base 0).
-    let top_h = init_top_h::<K, G>(gap, m);
-    let top_e = init_top_e::<K, G>(gap, m);
-    let left_h = init_left_h::<K, G>(gap, n, gap.open());
-    let left_f = init_left_f::<G>(n);
-    let mut block = BlockBorders::<L> {
-        top_h: top_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        top_e: top_e.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_h: left_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_f: left_f.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-    };
-    // The lane transpose: the only copy of sequence bytes on this path.
-    let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || {
-        let q_rows: Vec<[u8; L]> = (0..n)
-            .map(|r| std::array::from_fn(|l| pairs[lanes[l]].q[r]))
-            .collect();
-        let s_cols: Vec<[u8; L]> = (0..m)
-            .map(|c| std::array::from_fn(|l| pairs[lanes[l]].s[c]))
-            .collect();
-        (q_rows, s_cols)
-    });
-
+    let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || transpose_group(pairs, lanes));
+    let mut block = BlockBorders::<L>::init::<K, G>(gap, q_rows.len(), s_cols.len());
     let opt = anyseq_obs::span(Stage::Kernel, || {
+        let (q, s, b) = (&q_rows[..], &s_cols[..], &mut block);
         if xdrop > 0 {
-            block_kernel_kind::<K, G, SS, true, L>(gap, subst, &q_rows, &s_cols, &mut block, xdrop)
+            block_kernel_kind::<K, G, SS, true, L>(isa, gap, subst, q, s, b, xdrop)
         } else {
-            block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut block, 0)
+            block_kernel_kind::<K, G, SS, false, L>(isa, gap, subst, q, s, b, 0)
         }
     });
 

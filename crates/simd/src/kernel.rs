@@ -11,8 +11,10 @@
 //! only on the `O(h + w)` boundary stripes. Saturating arithmetic keeps
 //! the −∞ sentinel pinned instead of wrapping.
 
+use crate::isa::Isa;
 use crate::lanes::I16s;
 use anyseq_core::kind::{AlignKind, OptRegion};
+use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
 use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::scoring::{GapModel, MatrixSubst, SimpleSubst, SubstScore};
 
@@ -97,6 +99,7 @@ impl SimdSubst for MatrixSubst {
 /// The kernel works **in place**: on return `top_h`/`top_e` hold the
 /// bottom stripes and `left_h`/`left_f` hold the right stripes (the same
 /// rolling-buffer trick as the scalar tile kernel).
+#[derive(Debug, PartialEq, Eq)]
 pub struct BlockBorders<const L: usize> {
     /// `H` crossing the top edge, `w + 1` vectors (corner included).
     pub top_h: Vec<I16s<L>>,
@@ -108,7 +111,26 @@ pub struct BlockBorders<const L: usize> {
     pub left_f: Vec<I16s<L>>,
 }
 
+impl<const L: usize> BlockBorders<L> {
+    /// Kind `K`'s init stripes of an `h × w` block at differential base
+    /// 0, the same in every lane: the borders a block of `L` whole
+    /// `h × w` problems starts from.
+    pub fn init<K: AlignKind, G: GapModel>(gap: &G, h: usize, w: usize) -> BlockBorders<L> {
+        let splat = |v: &Score| I16s::splat(to16(*v, 0));
+        BlockBorders {
+            top_h: init_top_h::<K, G>(gap, w).iter().map(splat).collect(),
+            top_e: init_top_e::<K, G>(gap, w).iter().map(splat).collect(),
+            left_h: init_left_h::<K, G>(gap, h, gap.open())
+                .iter()
+                .map(splat)
+                .collect(),
+            left_f: init_left_f::<G>(h).iter().map(splat).collect(),
+        }
+    }
+}
+
 /// Per-lane optimum produced by [`block_kernel_kind`].
+#[derive(Debug, PartialEq, Eq)]
 pub struct KernelOpt<const L: usize> {
     /// Best score per lane over the kind's optimum region, in the same
     /// lane-local differential representation as the block borders. For
@@ -139,8 +161,52 @@ pub struct KernelOpt<const L: usize> {
 /// seen and, when every lane has retired, the remaining rows are skipped
 /// entirely. Retired lanes may under-report the true optimum — X-drop is
 /// a heuristic; the default `XDROP = false` path is bit-exact.
-#[allow(clippy::needless_range_loop)]
+///
+/// `isa` picks the compiled variant of the one body (see [`crate::isa`]);
+/// every variant gives bit-identical results.
 pub fn block_kernel_kind<K, G, SS, const XDROP: bool, const L: usize>(
+    isa: Isa,
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+    xdrop: i16,
+) -> KernelOpt<L>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if isa.is_avx2() {
+        #[target_feature(enable = "avx2")]
+        fn avx2<K, G, SS, const XDROP: bool, const L: usize>(
+            gap: &G,
+            subst: &SS,
+            q_rows: &[[u8; L]],
+            s_cols: &[[u8; L]],
+            borders: &mut BlockBorders<L>,
+            xdrop: i16,
+        ) -> KernelOpt<L>
+        where
+            K: AlignKind,
+            G: GapModel,
+            SS: SimdSubst,
+        {
+            block_kernel_body::<K, G, SS, XDROP, L>(gap, subst, q_rows, s_cols, borders, xdrop)
+        }
+        // SAFETY: an AVX2 `Isa` only exists on hosts that have AVX2.
+        return unsafe { avx2::<K, G, SS, XDROP, L>(gap, subst, q_rows, s_cols, borders, xdrop) };
+    }
+    let _ = isa; // non-x86 targets have only the portable variant
+    block_kernel_body::<K, G, SS, XDROP, L>(gap, subst, q_rows, s_cols, borders, xdrop)
+}
+
+/// The one body of [`block_kernel_kind`], inlined into each ISA variant.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn block_kernel_body<K, G, SS, const XDROP: bool, const L: usize>(
     gap: &G,
     subst: &SS,
     q_rows: &[[u8; L]],
@@ -269,8 +335,43 @@ where
 /// linear schemes), a running block maximum, and a ν floor mask — the
 /// redundant lane work a masked translation of the general variant
 /// carries. Results are identical; only the instruction count differs.
-#[allow(clippy::needless_range_loop)]
+/// It runs on the same `isa` variants as [`block_kernel_kind`], so the
+/// two stay comparable like for like.
 pub fn block_kernel_masked<G, SS, const L: usize>(
+    isa: Isa,
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+) where
+    G: GapModel,
+    SS: SimdSubst,
+{
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if isa.is_avx2() {
+        #[target_feature(enable = "avx2")]
+        fn avx2<G: GapModel, SS: SimdSubst, const L: usize>(
+            gap: &G,
+            subst: &SS,
+            q_rows: &[[u8; L]],
+            s_cols: &[[u8; L]],
+            borders: &mut BlockBorders<L>,
+        ) {
+            block_kernel_masked_body(gap, subst, q_rows, s_cols, borders)
+        }
+        // SAFETY: an AVX2 `Isa` only exists on hosts that have AVX2.
+        return unsafe { avx2(gap, subst, q_rows, s_cols, borders) };
+    }
+    let _ = isa; // non-x86 targets have only the portable variant
+    block_kernel_masked_body(gap, subst, q_rows, s_cols, borders)
+}
+
+/// The one body of [`block_kernel_masked`], inlined into each ISA
+/// variant.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn block_kernel_masked_body<G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
     q_rows: &[[u8; L]],
@@ -361,23 +462,11 @@ mod tests {
         let top_e_i32 = init_top_e::<Global, G>(&gap, w);
         let left_h_i32 = init_left_h::<Global, G>(&gap, h, gap.open());
         let left_f_i32 = init_left_f::<G>(h);
-        let mut borders = BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(top_h_i32[c], 0)))
-                .collect(),
-            top_e: (0..top_e_i32.len())
-                .map(|c| I16s::splat(to16(top_e_i32[c], 0)))
-                .collect(),
-            left_h: (0..h)
-                .map(|r| I16s::splat(to16(left_h_i32[r], 0)))
-                .collect(),
-            left_f: (0..left_f_i32.len())
-                .map(|r| I16s::splat(to16(left_f_i32[r], 0)))
-                .collect(),
-        };
+        let mut borders = BlockBorders::<L>::init::<Global, G>(&gap, h, w);
         let q_rows: Vec<[u8; L]> = (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect();
         let s_cols: Vec<[u8; L]> = (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect();
         block_kernel_kind::<Global, G, _, false, L>(
+            Isa::host(),
             &gap,
             &subst,
             &q_rows,
@@ -467,28 +556,18 @@ mod tests {
             .map(|_| (0..w).map(|_| rng.gen_range(0..4u8)).collect())
             .collect();
 
-        let top_h_i32 = init_top_h::<K, G>(&gap, w);
-        let top_e_i32 = init_top_e::<K, G>(&gap, w);
-        let left_h_i32 = init_left_h::<K, G>(&gap, h, gap.open());
-        let left_f_i32 = init_left_f::<G>(h);
-        let mut borders = BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(top_h_i32[c], 0)))
-                .collect(),
-            top_e: (0..top_e_i32.len())
-                .map(|c| I16s::splat(to16(top_e_i32[c], 0)))
-                .collect(),
-            left_h: (0..h)
-                .map(|r| I16s::splat(to16(left_h_i32[r], 0)))
-                .collect(),
-            left_f: (0..left_f_i32.len())
-                .map(|r| I16s::splat(to16(left_f_i32[r], 0)))
-                .collect(),
-        };
+        let mut borders = BlockBorders::<L>::init::<K, G>(&gap, h, w);
         let q_rows: Vec<[u8; L]> = (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect();
         let s_cols: Vec<[u8; L]> = (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect();
-        let opt =
-            block_kernel_kind::<K, G, _, false, L>(&gap, &subst, &q_rows, &s_cols, &mut borders, 0);
+        let opt = block_kernel_kind::<K, G, _, false, L>(
+            Isa::host(),
+            &gap,
+            &subst,
+            &q_rows,
+            &s_cols,
+            &mut borders,
+            0,
+        );
         assert_eq!(opt.retired, 0);
         for l in 0..L {
             let pass =
@@ -539,25 +618,12 @@ mod tests {
         let ss: Vec<Vec<u8>> = (0..L)
             .map(|_| (0..w).map(|_| rng.gen_range(0..4u8)).collect())
             .collect();
-        let build = || BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(init_top_h::<SemiGlobal, _>(&gap, w)[c], 0)))
-                .collect(),
-            top_e: Vec::new(),
-            left_h: (0..h)
-                .map(|r| {
-                    I16s::splat(to16(
-                        init_left_h::<SemiGlobal, _>(&gap, h, gap.open())[r],
-                        0,
-                    ))
-                })
-                .collect(),
-            left_f: Vec::new(),
-        };
+        let build = || BlockBorders::<L>::init::<SemiGlobal, _>(&gap, h, w);
         let q_rows: Vec<[u8; L]> = (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect();
         let s_cols: Vec<[u8; L]> = (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect();
         let mut exact_b = build();
         let exact = block_kernel_kind::<SemiGlobal, _, _, false, L>(
+            Isa::host(),
             &gap,
             &subst,
             &q_rows,
@@ -567,7 +633,13 @@ mod tests {
         );
         let mut xd_b = build();
         let xd = block_kernel_kind::<SemiGlobal, _, _, true, L>(
-            &gap, &subst, &q_rows, &s_cols, &mut xd_b, 10_000,
+            Isa::host(),
+            &gap,
+            &subst,
+            &q_rows,
+            &s_cols,
+            &mut xd_b,
+            10_000,
         );
         assert_eq!(xd.retired, 0);
         assert_eq!(xd.best.0, exact.best.0);
@@ -585,24 +657,11 @@ mod tests {
         let s: Vec<u8> = [vec![0u8; 10], vec![2u8; 60]].concat();
         let h = q.len();
         let w = s.len();
-        let mut borders = BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(init_top_h::<SemiGlobal, _>(&gap, w)[c], 0)))
-                .collect(),
-            top_e: Vec::new(),
-            left_h: (0..h)
-                .map(|r| {
-                    I16s::splat(to16(
-                        init_left_h::<SemiGlobal, _>(&gap, h, gap.open())[r],
-                        0,
-                    ))
-                })
-                .collect(),
-            left_f: Vec::new(),
-        };
+        let mut borders = BlockBorders::<L>::init::<SemiGlobal, _>(&gap, h, w);
         let q_rows: Vec<[u8; L]> = q.iter().map(|&b| [b; L]).collect();
         let s_cols: Vec<[u8; L]> = s.iter().map(|&b| [b; L]).collect();
         let opt = block_kernel_kind::<SemiGlobal, _, _, true, L>(
+            Isa::host(),
             &gap,
             &subst,
             &q_rows,

@@ -4,10 +4,12 @@
 //! not resort to architecture-specific intrinsics" and supports several
 //! SIMD instruction sets. The Rust analog: a fixed-size lane array whose
 //! operations are written as plain per-lane loops marked
-//! `#[inline(always)]` — under `-C target-cpu=native` LLVM reliably
-//! compiles `I16s<16>` arithmetic to one AVX2 instruction and `I16s<32>`
-//! to one AVX512BW instruction (`vpaddsw`, `vpmaxsw`, ...), matching the
-//! paper's AVX2/AVX512 variants with 16-bit scores per lane.
+//! `#[inline(always)]`, so they take on the instruction set of the
+//! kernel they are inlined into. In the portable build (baseline
+//! x86-64) an `I16s<16>` operation becomes two SSE2 instructions; in a
+//! kernel's AVX2 variant ([`crate::isa`]) it becomes one (`vpaddsw`,
+//! `vpmaxsw`, ...), the paper's AVX2 variant with 16-bit scores per
+//! lane.
 
 #![allow(clippy::needless_range_loop)] // lane loops mirror the vector ISA
 

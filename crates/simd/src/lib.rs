@@ -1,9 +1,10 @@
 //! # anyseq-simd — portable SIMD kernels with 16-bit differential scores
 //!
 //! Reproduces the paper's CPU vectorization (§IV-A) without
-//! architecture-specific intrinsics: lane-array arithmetic autovectorizes
-//! under `-C target-cpu=native` (L = 16 ⇒ AVX2, L = 32 ⇒ AVX512, 16-bit
-//! lanes). Two execution shapes:
+//! architecture-specific intrinsics: lane-array arithmetic
+//! autovectorizes, and each lane kernel is compiled both for the build
+//! target and for AVX2, picked at run time ([`isa`]; L = 16 16-bit lanes
+//! fill one AVX2 register). Three execution shapes:
 //!
 //! * [`simd_tiled_score_pass`] / [`SimdPass`] — long-genome
 //!   intra-sequence: vector lanes are filled with independent tiles
@@ -23,12 +24,14 @@
 //! with the block extent bounded by [`kernel::max_block_extent`].
 
 pub mod batch;
+pub mod isa;
 pub mod kernel;
 pub mod lanes;
 pub mod tiled;
 pub mod traceback;
 
 pub use batch::{score_batch_simd, score_batch_simd_stats, score_batch_simd_xdrop, LaneGroups};
+pub use isa::Isa;
 pub use kernel::{block_kernel_kind, max_block_extent, BlockBorders, KernelOpt, SimdSubst, SENT16};
 pub use lanes::I16s;
 pub use tiled::{

@@ -13,6 +13,7 @@
 //! border stripes, schedule, seams, shard chain — is the wavefront
 //! crate's one [`slab_pass`] / [`chained_pass`].
 
+use crate::isa::Isa;
 use crate::kernel::{block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst};
 use crate::lanes::I16s;
 use anyseq_core::hirschberg::HalfPass;
@@ -141,6 +142,7 @@ where
     let Some(tile) = lane_tile(gap, subst) else {
         return slab_score_pass::<Global, G, SS>(gap, subst, q, s, cols, tb, seam, cfg);
     };
+    let isa = Isa::host();
     slab_pass::<Global, G, _>(
         gap,
         (q.len(), s.len()),
@@ -164,7 +166,7 @@ where
                 }
             }
             if lanes.len() >= MIN_LANES.min(L) {
-                compute_block::<G, SS, L>(gap, subst, q, s, slab, &lanes, scr, tile);
+                compute_block::<G, SS, L>(isa, gap, subst, q, s, slab, &lanes, scr, tile);
                 scr.scalar.tiles.simd += lanes.len() as u64;
             } else {
                 for &t in &lanes {
@@ -197,6 +199,7 @@ where
 #[allow(clippy::too_many_arguments)]
 #[allow(clippy::needless_range_loop)]
 fn compute_block<G: GapModel, SS: SimdSubst, const L: usize>(
+    isa: Isa,
     gap: &G,
     subst: &SS,
     q: &[u8],
@@ -256,7 +259,8 @@ fn compute_block<G: GapModel, SS: SimdSubst, const L: usize>(
 
     // 3. Vector relaxation (the `Corner` instantiation tracks no
     //    optimum: a global score lives on the borders).
-    block_kernel_kind::<Global, G, SS, false, L>(gap, subst, &scr.q_rows, &scr.s_cols, block, 0);
+    let (q_rows, s_cols) = (&scr.q_rows[..], &scr.s_cols[..]);
+    block_kernel_kind::<Global, G, SS, false, L>(isa, gap, subst, q_rows, s_cols, block, 0);
 
     // 4. Convert the output stripes back and publish them.
     for (l, &t) in tiles.iter().enumerate() {

@@ -31,7 +31,8 @@
 //! `open ≤ 0`) implies the cell above/left is not itself gap-preferring,
 //! so two DP gap runs can never silently merge into one CIGAR run.
 
-use crate::batch::LaneGroups;
+use crate::batch::{transpose_group, LaneGroups};
+use crate::isa::Isa;
 use crate::kernel::{
     block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst, SENT16,
 };
@@ -99,6 +100,9 @@ pub struct TraceStats {
     /// the knob is off or the kind is corner-optimum; the alignment
     /// path never retires — tracebacks stay exact).
     pub xdrop_retired: u64,
+    /// Lane groups whose kernels ran the AVX2 variant
+    /// ([`Isa::avx2`]); 0 on hosts without AVX2.
+    pub avx2_groups: u64,
 }
 
 impl TraceStats {
@@ -112,13 +116,15 @@ impl TraceStats {
         self.bytes_copied += other.bytes_copied;
         self.max_band = self.max_band.max(other.max_band);
         self.xdrop_retired += other.xdrop_retired;
+        self.avx2_groups += other.avx2_groups;
     }
 }
 
 /// Packed per-lane direction bit-planes over the band cells of one
 /// lane group: index `(i − 1) · band_width + p` for DP row `i ∈ 1..=n`
 /// and band position `p` (diagonal `j − i = dlo + p`).
-struct DirStore {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct DirStore {
     /// Lane bit set ⇒ `H` came from `E` (vertical gap wins).
     up: Vec<u32>,
     /// Lane bit set ⇒ `H` came from `F` (horizontal gap wins).
@@ -133,7 +139,7 @@ struct DirStore {
 }
 
 impl DirStore {
-    fn new(cells: usize, affine: bool, nu_zero: bool) -> DirStore {
+    pub(crate) fn new(cells: usize, affine: bool, nu_zero: bool) -> DirStore {
         DirStore {
             up: vec![0; cells],
             left: vec![0; cells],
@@ -146,7 +152,7 @@ impl DirStore {
 
 /// The diagonal band `j − i ∈ [dlo, dhi]` for an `n × m` problem at
 /// half-width `w`, clamped to the matrix.
-fn band_range(n: usize, m: usize, w: usize) -> (isize, isize) {
+pub(crate) fn band_range(n: usize, m: usize, w: usize) -> (isize, isize) {
     let (n, m, w) = (n as isize, m as isize, w as isize);
     let skew = m - n;
     let dlo = (skew.min(0) - w).max(-n);
@@ -156,7 +162,8 @@ fn band_range(n: usize, m: usize, w: usize) -> (isize, isize) {
 
 /// Per-lane banded optimum: best value plus the 1-based DP cell it was
 /// attained at (lane positions fit i16 — the extent budget caps n, m).
-struct BandedOpt<const L: usize> {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct BandedOpt<const L: usize> {
     best: I16s<L>,
     bi: I16s<L>,
     bj: I16s<L>,
@@ -184,8 +191,55 @@ impl<const L: usize> BandedOpt<L> {
 /// sentinel, exactly like the full-width kernel's −∞ stripes, so a
 /// path that would profit from leaving the band simply scores lower
 /// than the exact optimum — which the caller detects by comparison.
+///
+/// `isa` picks the compiled variant of the one body (see [`crate::isa`]);
+/// every variant gives bit-identical results.
 #[allow(clippy::too_many_arguments)]
-fn banded_group_kernel<K, G, SS, const L: usize>(
+pub(crate) fn banded_group_kernel<K, G, SS, const L: usize>(
+    isa: Isa,
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    dlo: isize,
+    dhi: isize,
+    store: &mut DirStore,
+) -> BandedOpt<L>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if isa.is_avx2() {
+        #[target_feature(enable = "avx2")]
+        fn avx2<K, G, SS, const L: usize>(
+            gap: &G,
+            subst: &SS,
+            q_rows: &[[u8; L]],
+            s_cols: &[[u8; L]],
+            dlo: isize,
+            dhi: isize,
+            store: &mut DirStore,
+        ) -> BandedOpt<L>
+        where
+            K: AlignKind,
+            G: GapModel,
+            SS: SimdSubst,
+        {
+            banded_group_body::<K, G, SS, L>(gap, subst, q_rows, s_cols, dlo, dhi, store)
+        }
+        // SAFETY: an AVX2 `Isa` only exists on hosts that have AVX2.
+        return unsafe { avx2::<K, G, SS, L>(gap, subst, q_rows, s_cols, dlo, dhi, store) };
+    }
+    let _ = isa; // non-x86 targets have only the portable variant
+    banded_group_body::<K, G, SS, L>(gap, subst, q_rows, s_cols, dlo, dhi, store)
+}
+
+/// The one body of [`banded_group_kernel`], inlined into each ISA
+/// variant.
+#[inline(always)]
+fn banded_group_body<K, G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
     q_rows: &[[u8; L]],
@@ -445,6 +499,7 @@ fn decode_lane(
 /// score. Returns `None` for lanes that still overflow at
 /// [`BandCfg::max`] (the caller rescues those with scalar traceback).
 fn align_lane_group<K, G, SS, const L: usize>(
+    isa: Isa,
     gap: &G,
     subst: &SS,
     pairs: &[PairRef<'_>],
@@ -457,39 +512,20 @@ where
     G: GapModel,
     SS: SimdSubst,
 {
-    let n = pairs[lanes[0]].q.len();
-    let m = pairs[lanes[0]].s.len();
-    debug_assert!(lanes
-        .iter()
-        .all(|&k| pairs[k].q.len() == n && pairs[k].s.len() == m));
-
     // The lane transpose: the only sequence-byte copy on this path
     // (built once per group; band retries reuse it).
+    let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || transpose_group(pairs, lanes));
+    let (n, m) = (q_rows.len(), s_cols.len());
     stats.bytes_copied += ((n + m) * L) as u64;
-    let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || {
-        let q_rows: Vec<[u8; L]> = (0..n)
-            .map(|r| std::array::from_fn(|l| pairs[lanes[l]].q[r]))
-            .collect();
-        let s_cols: Vec<[u8; L]> = (0..m)
-            .map(|c| std::array::from_fn(|l| pairs[lanes[l]].s[c]))
-            .collect();
-        (q_rows, s_cols)
-    });
+    if isa.is_avx2() {
+        stats.avx2_groups += 1;
+    }
 
     // Exact kind-`K` optima from the full-width score kernel: the
     // oracle every banded lane must reproduce before it is decoded.
-    let top_h = init_top_h::<K, G>(gap, m);
-    let top_e = init_top_e::<K, G>(gap, m);
-    let left_h = init_left_h::<K, G>(gap, n, gap.open());
-    let left_f = init_left_f::<G>(n);
-    let mut borders = BlockBorders::<L> {
-        top_h: top_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        top_e: top_e.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_h: left_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_f: left_f.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-    };
+    let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
     let exact = anyseq_obs::span(Stage::Kernel, || {
-        block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut borders, 0)
+        block_kernel_kind::<K, G, SS, false, L>(isa, gap, subst, &q_rows, &s_cols, &mut borders, 0)
     })
     .best;
 
@@ -499,7 +535,8 @@ where
         let bw = (dhi - dlo + 1) as usize;
         let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
         let banded = anyseq_obs::span(Stage::Kernel, || {
-            banded_group_kernel::<K, G, SS, L>(gap, subst, &q_rows, &s_cols, dlo, dhi, &mut store)
+            let (q, s, st) = (&q_rows[..], &s_cols[..], &mut store);
+            banded_group_kernel::<K, G, SS, L>(isa, gap, subst, q, s, dlo, dhi, st)
         });
         stats.band_cells += (n * bw * L) as u64;
         stats.max_band = stats.max_band.max(bw as u64);
@@ -573,6 +610,7 @@ where
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
     let LaneGroups { groups, scalar_idx } = LaneGroups::<L>::build(pairs, extent_budget);
+    let isa = Isa::host();
 
     let mut results: Vec<Alignment> = vec![Alignment::empty(0); pairs.len()];
     struct Out(*mut Alignment);
@@ -601,8 +639,9 @@ where
                     break;
                 }
                 let lanes = &groups[g];
-                let alns =
-                    align_lane_group::<K, G, SS, L>(gap, subst, pairs, lanes, band, &mut local);
+                let alns = align_lane_group::<K, G, SS, L>(
+                    isa, gap, subst, pairs, lanes, band, &mut local,
+                );
                 for (l, aln) in alns.into_iter().enumerate() {
                     let idx = lanes[l];
                     let aln = aln.unwrap_or_else(|| {

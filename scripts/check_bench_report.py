@@ -18,6 +18,10 @@ Fails (exit 1) if the report is missing any required key:
   * `<mode>.<backend>_1t` and `<mode>.<backend>_<threads>t` for every
     mode in {score, align} and backend in {scalar, simd, gpu-sim},
   * `<mode>.bytes_copied` and `<mode>.peak_batch_mb` per mode,
+  * `host.avx2` and `simd.avx2_groups` — and additionally a non-zero
+    `simd.avx2_groups` when `host.avx2` is 1 (a host with AVX2 whose
+    lane groups never ran the AVX2 kernels means the runtime ISA
+    dispatch silently fell back to the portable variant),
   * the observability keys (the section always runs):
     `obs.score_gcups_{off,on}` and `obs.kernel_spans` /
     `obs.kernel_p{50,95,99}_ns` positive, `obs.overhead_frac` and
@@ -147,6 +151,8 @@ def main() -> int:
                 required.append((f"{mode}.{backend}_{threads}t", True))
         required.append((f"{mode}.bytes_copied", False))
         required.append((f"{mode}.peak_batch_mb", False))
+    required.append(("host.avx2", False))
+    required.append(("simd.avx2_groups", False))
     # Observability section (always present): off/on throughput, the
     # merged kernel-latency histogram summary, and the stage wall
     # totals drained from the traced run's spans.
@@ -213,9 +219,18 @@ def main() -> int:
             required.append((f"dup.{mode}_speedup", True))
 
     rc = check(path, required)
-    if rc == 0 and huge_len > 0:
-        with open(path) as fh:
-            report = json.load(fh)
+    if rc != 0:
+        return rc
+    with open(path) as fh:
+        report = json.load(fh)
+    if report["host.avx2"] > 0 and report["simd.avx2_groups"] == 0:
+        print(
+            f"{path}: host has avx2 but simd.avx2_groups is 0 (lane kernels ran portable)",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"{path}: simd.avx2_groups {report['simd.avx2_groups']:.0f} (host avx2: {report['host.avx2']:.0f})")
+    if huge_len > 0:
         peak, budget = report["huge.peak_shard_mb"], report["huge.budget_mb"]
         if peak > budget:
             print(

@@ -155,6 +155,48 @@ fn malformed_frame_gets_a_typed_error_not_a_hangup() {
     server.shutdown();
 }
 
+/// A request whose scheme no kernel can run (a positive linear gap)
+/// used to reach `scoring::linear`'s assertion inside a scheduler
+/// worker and kill the dispatcher, so every later client hung. The
+/// decoder now refuses it with a typed error, and the daemon keeps
+/// serving.
+#[test]
+fn poison_scheme_gets_a_typed_error_and_the_next_client_is_served() {
+    let server = Server::start(
+        socket_path("faults-scheme"),
+        ServeConfig::default(),
+        Arc::new(SystemClock::new()),
+    )
+    .expect("daemon start failed");
+    // The clients run on their own thread, so a daemon that stops
+    // answering fails the test instead of hanging it.
+    let path = server.path().to_path_buf();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pairs = vec![(vec![0, 1, 2, 3], vec![0, 1, 3, 3])];
+        let mut poison = ServeClient::connect(&path).expect("connect failed");
+        let refused = poison
+            .roundtrip(
+                ReqKind::Score,
+                SchemeSpec::global_linear(2, -1, 5),
+                pairs.clone(),
+            )
+            .expect("the poison request must get a reply, not a hangup");
+        let mut next = ServeClient::connect(&path).expect("connect failed");
+        let served = next.roundtrip(ReqKind::Score, spec(), pairs);
+        tx.send((refused, served)).unwrap();
+    });
+    let (refused, served) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the daemon stopped answering after the poison request");
+    let refused = refused.expect_err("a positive gap must be refused");
+    assert_eq!(refused.code, ErrCode::Malformed);
+    assert!(refused.message.contains("gap"), "{}", refused.message);
+    let results = served.expect("roundtrip failed").expect("request refused");
+    assert_eq!(results, Results::Scores(vec![5]));
+    server.shutdown();
+}
+
 /// Deterministic backpressure: with the clock frozen nothing can
 /// flush, so admission arithmetic is exact — requests 1–2 fit the
 /// budget, 3–6 are refused synchronously. Thawing the clock completes
